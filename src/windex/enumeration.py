@@ -14,9 +14,9 @@ import hashlib
 from .poset import Poset
 from .presentation import TooLarge
 from .systems import (
-    YES, WeakIndexingSystem, downward_closure, f_complete, f_infinity,
-    f_trivial, f_zero, is_sparse, leq, saturate, sparse_bound,
-    sparse_decompose, sparse_universe,
+    YES, WeakIndexingSystem, f_complete, f_infinity, f_trivial, f_zero,
+    families_of_levels, is_sparse, leq, saturate, sparse_bound, sparse_member,
+    sparse_universe,
 )
 from .fibrations import (
     enumerate_families, enumerate_transfer_systems, fold_left, minimal_unital,
@@ -43,17 +43,6 @@ def normalize_class(name):
     return _CLASS_ALIASES[key]
 
 
-def _decomposed_member(P, S, levels):
-    """Membership of an arbitrary V-set in the system with the given sparse
-    levels (valid whenever unit and one-extra-orbit families agree)."""
-    if is_sparse(P, S):
-        return S in levels[S.over]
-    d = sparse_decompose(P, S)
-    if d.reduced not in levels[S.over]:
-        return False
-    return all(_decomposed_member(P, piece, levels) for piece in d.pieces)
-
-
 def _level_ok(P, V, members, levels):
     """Cheap necessary conditions on a candidate level, given the levels
     already fixed below it."""
@@ -70,7 +59,7 @@ def _level_ok(P, V, members, levels):
         for w in P.slice_keys(V):
             if P.slice_cls(V, w) == V:
                 continue
-            if not _decomposed_member(P, P.restrict(w, S), probe):
+            if not sparse_member(P, probe, P.restrict(w, S)):
                 return False
     for S in members:
         # dropping one orbit is a coproduct with an empty component
@@ -91,6 +80,14 @@ def _level_ok(P, V, members, levels):
                     if is_sparse(P, U) and U not in members:
                         return False
     return True
+
+
+def _size_then_members(W):
+    """Output order of the enumerations: number of sparse members, then the
+    sorted member names."""
+    levels = W.sparse_levels.values()
+    return (sum(len(mem) for mem in levels),
+            tuple(sorted(str(S) for mem in levels for S in mem)))
 
 
 def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
@@ -123,17 +120,14 @@ def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
                 "raise the cap to enumerate anyway")
 
     classes = list(P.orbit_classes)
-    bound = max(sparse_bound(P), 2)
+    bound = sparse_bound(P)
     out = []
 
     def certify(levels):
         gens = [S for mem in levels.values() for S in mem]
         if which in ("aE_unital", "almost_unital"):
-            unit = frozenset(V for V in classes if P.empty_vset(V) in levels[V])
-            eps = downward_closure(P, [
-                V for V in classes
-                if any(S != P.star_vset(V) for S in levels[V])])
-            if unit != eps:
+            fam = families_of_levels(P, levels)
+            if fam["unit"] != fam["eps"]:
                 return None
         sat = saturate(P, gens, bound,
                        escape=lambda S: is_sparse(P, S) and S not in levels[S.over])
@@ -159,9 +153,7 @@ def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
         levels[V] = frozenset()
 
     walk(0, {V: frozenset() for V in classes})
-    out.sort(key=lambda W: (sum(len(W.sparse_levels[V]) for V in classes),
-                            tuple(sorted(str(S) for V in classes
-                                         for S in W.sparse_levels[V]))))
+    out.sort(key=_size_then_members)
     return out
 
 
@@ -180,9 +172,7 @@ def enumerate_systems_fiberwise(P, which="unital"):
         out = [W for W in out if W.families()["fold"] == everything]
     elif which != "unital":
         raise ValueError("the fibration only covers unital systems")
-    out.sort(key=lambda W: (sum(len(W.sparse_levels[V]) for V in P.orbit_classes),
-                            tuple(sorted(str(S) for V in P.orbit_classes
-                                         for S in W.sparse_levels[V]))))
+    out.sort(key=_size_then_members)
     return out
 
 
@@ -228,7 +218,7 @@ def system_label(W, library=None):
     if library is None:
         library = _label_library(W.P)
     for X in library:
-        if X.form == "sparse" and X == W:
+        if X == W:
             return X.label
     return f"W#{content_hash(W)}"
 

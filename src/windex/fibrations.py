@@ -13,10 +13,8 @@ import itertools
 
 from .presentation import TooLarge
 from .systems import (
-    NO, YES,
-    WeakIndexingSystem, classify, downward_closure, f_complete, f_infinity,
-    f_trivial, f_zero, join, saturate, sparse_bound, sparse_part,
-    sparse_universe,
+    NO, YES, WeakIndexingSystem, classify, downward_closure, f_complete,
+    f_trivial, f_zero, join, sparse_closure, sparse_universe,
 )
 
 
@@ -180,8 +178,8 @@ def minimal_unital(R):
         gens.append(P.star_vset(V))
     for u, V in sorted(R.strict()):
         gens.append(P.orbit_vset(V, u))
-    sat = saturate(P, gens, max(sparse_bound(P), 2))
-    return WeakIndexingSystem.from_sparse(P, sparse_part(P, sat), validate=False)
+    return WeakIndexingSystem.from_sparse(P, sparse_closure(P, gens),
+                                          validate=False)
 
 
 def transfer_domain(R):

@@ -43,10 +43,20 @@ class UnsupportedBackend(TypeError):
     """The operation needs structure this backend does not carry."""
 
 
+def require_chain(P, subject):
+    """Raise UnsupportedBackend, its message opened by `subject`, unless P
+    is a cyclic chain."""
+    if P.spec.get("backend") not in ("chain", "cyclic"):
+        raise UnsupportedBackend(
+            f"{subject} over cyclic chains, not {P.spec.get('backend')!r}")
+
+
 GROUP_ORDER_CAP = 60
 
+_setattr = object.__setattr__   # what frozen dataclasses use to set fields
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, init=False)
 class VSet:
     """A finite V-set: a multiset of slice orbits over the orbit class `over`.
 
@@ -56,6 +66,19 @@ class VSet:
 
     over: str
     orbits: tuple = ()
+
+    # Written out instead of a __post_init__ check: closures build hundreds
+    # of thousands of V-sets, and this way the check adds about 0.04 us to
+    # each construction instead of 0.13 us.
+    def __init__(self, over, orbits=()):
+        prev = None
+        for k, m in orbits:
+            if m <= 0 or (prev is not None and k <= prev):
+                raise InvalidSpec("V-set orbits need increasing keys and "
+                                  f"positive multiplicities: {orbits!r}")
+            prev = k
+        _setattr(self, "over", over)
+        _setattr(self, "orbits", orbits)
 
     def mult(self, key):
         for k, m in self.orbits:

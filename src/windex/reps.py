@@ -8,19 +8,12 @@ point; the sparse sets satisfying both make up a weak indexing system.
 """
 from __future__ import annotations
 
-from .presentation import UnsupportedBackend
+from .presentation import require_chain
 from .systems import WeakIndexingSystem, sparse_universe
 
 
 class GroupMismatch(ValueError):
     pass
-
-
-def _require_chain(P):
-    if P.spec.get("backend") not in ("chain", "cyclic"):
-        raise UnsupportedBackend(
-            f"representations are only supported over cyclic chains, "
-            f"not {P.spec.get('backend')!r}")
 
 
 class RepDescriptor:
@@ -29,7 +22,7 @@ class RepDescriptor:
     chain."""
 
     def __init__(self, P, fixed_dims, name=None):
-        _require_chain(P)
+        require_chain(P, "representations are only supported")
         self.P = P
         self.name = name
         dims = dict(fixed_dims)
@@ -124,7 +117,7 @@ def named_rep(P, name):
     """Look up a representation by name: the sign representation `sigma` of
     C_2, the rotation `lambda` of C_p, and over C_{p^2} the rotations
     `lambda_Cp` (pulled back from the quotient) and `lambda_Cp2` (faithful)."""
-    _require_chain(P)
+    require_chain(P, "representations are only supported")
     key = name.lower()
     if key not in _NAMED:
         raise ValueError(f"unknown representation {name!r}; "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .presentation import UnsupportedBackend
+from .presentation import require_chain
 from .fibrations import (
     TransferSystem, transfer_codomain, transfer_domain, transfer_of,
 )
@@ -22,10 +22,7 @@ class NotAdmissible(ValueError):
     """The (transfer, family) pair has no systems over it."""
 
 
-def _require_chain(P):
-    if P.spec.get("backend") not in ("chain", "cyclic"):
-        raise UnsupportedBackend(
-            f"sieves are only defined over cyclic chains, not {P.spec.get('backend')!r}")
+_CHAINS_ONLY = "sieves are only defined"
 
 
 def is_sieve(P, R, scope, pairs):
@@ -52,7 +49,7 @@ class Sieve:
 
     def __post_init__(self):
         P = self.R.P
-        _require_chain(P)
+        require_chain(P, _CHAINS_ONLY)
         if not is_sieve(P, self.R, self.scope, self.pairs):
             raise ValueError("pairs do not form a sieve on the given scope")
 
@@ -60,7 +57,7 @@ class Sieve:
 def enumerate_sieves(R, family):
     """All sieves of R on the scope left uncovered by the family."""
     P = R.P
-    _require_chain(P)
+    require_chain(P, _CHAINS_ONLY)
     scope = transfer_codomain(R) - frozenset(family)
     available = sorted((K, H) for K, H in R.strict() if H in scope)
     out = []
@@ -75,7 +72,7 @@ def sieve_of(W):
     """The sieve recording which admissible orbits of a unital system W keep
     a disjoint fixed point above the fold family."""
     P = W.P
-    _require_chain(P)
+    require_chain(P, _CHAINS_ONLY)
     if not classify(W)["unital"]:
         raise ValueError("only unital systems carry a sieve")
     R = transfer_of(W)
@@ -94,7 +91,7 @@ def fiber_from_sieve(R, family, sieve):
     """The unital system with transfer system R, fold family `family`, and
     the given sieve of extra fixed points."""
     P = R.P
-    _require_chain(P)
+    require_chain(P, _CHAINS_ONLY)
     fam = frozenset(family)
     if not transfer_domain(R) <= fam:
         raise NotAdmissible(
@@ -127,7 +124,7 @@ def fiber_systems(R, family):
     folds; otherwise one system per sieve.
     """
     P = R.P
-    _require_chain(P)
+    require_chain(P, _CHAINS_ONLY)
     fam = frozenset(family)
     if not transfer_domain(R) <= fam:
         return []
@@ -141,7 +138,7 @@ def transport_sieve(sieve, R2, family2):
     """Push a sieve forward along an inclusion of transfer systems and an
     enlargement of the fold family."""
     P = sieve.R.P
-    _require_chain(P)
+    require_chain(P, _CHAINS_ONLY)
     if not sieve.R <= R2:
         raise NotAdmissible("target transfer system must contain the source")
     fam2 = frozenset(family2)

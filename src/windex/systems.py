@@ -3,20 +3,22 @@
 A weak indexing system over an orbital presentation is a collection of
 V-sets, one level per orbit class, that is closed under restriction, contains
 the terminal V-set whenever its level is nonempty, and is closed under
-self-indexed coproducts.  Three representations are used:
+self-indexed coproducts.  A system has one of two backings:
 
-* sparse form — the system's sparse members, level by level.  A V-set is
+* sparse levels — the system's sparse members, level by level.  A V-set is
   sparse when its terminal multiplicity is at most one (the double point
   2*star being the one exception), no other orbit repeats, and distinct
   non-terminal orbits admit no maps either way.  Almost essentially unital
   systems are generated by their sparse members, and membership of an
-  arbitrary V-set reduces along its isotropy decomposition; everything in
-  sparse form is exact.
-* generated form — arbitrary generators plus a point bound.  Queries up to
-  the bound are decided exactly by saturating the generators; beyond it the
-  answer is "indeterminate".
-* predicate form — a membership callable with precomputed families, used for
-  systems defined by a formula (coinduction, fixed-point conditions).
+  arbitrary V-set reduces along its isotropy decomposition (`sparse_member`);
+  everything with this backing is exact.
+* a trivalent membership oracle — either the saturation of arbitrary
+  generators up to a point bound (`from_generators`: exact up to the bound,
+  "indeterminate" beyond it), or a callable (`from_predicate`) for systems
+  defined by a formula (coinduction, fixed-point conditions, meets).
+
+Equality and hashing go by content, whatever the backing (see
+`WeakIndexingSystem`).
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
-from .presentation import VSet, UnsupportedBackend
+from .presentation import VSet, UnsupportedBackend, sub_multisets
 
 YES = "yes"
 NO = "no"
@@ -277,24 +279,99 @@ def sparse_decompose(P, S):
     return SparseDecomposition(reduced, retraction, tuple(pieces))
 
 
+# -- sparse membership and closure ---------------------------------------------
+
+
+def sparse_member(P, levels, S):
+    """Is S a member of the system whose sparse members are `levels`?
+
+    A sparse S is looked up.  Any other S is a coproduct over its sparse
+    reduced set (`sparse_decompose`), and belongs exactly when that set and
+    every piece do; this holds whenever the system is almost essentially
+    unital, which is what makes the sparse levels a faithful description.
+    """
+    if is_sparse(P, S):
+        return S in levels[S.over]
+    d = sparse_decompose(P, S)
+    return (d.reduced in levels[S.over]
+            and all(sparse_member(P, levels, piece) for piece in d.pieces))
+
+
+def sparse_closure(P, gens):
+    """The sparse members of the system generated by the sparse `gens`.
+
+    Saturating up to `sparse_bound` points (at least 2: the double point is
+    sparse) decides every sparse V-set, since derivations flatten."""
+    return sparse_part(P, saturate(P, gens, sparse_bound(P)))
+
+
+def families_of_levels(P, levels):
+    """The color, unit, fold, and one-extra-orbit (eps) families, read off
+    levels that hold at least every sparse member of the system."""
+    def having(vset_at):
+        return frozenset(V for V, mem in levels.items() if vset_at(V) in mem)
+
+    return {
+        "color": having(P.star_vset),
+        "unit": having(P.empty_vset),
+        "fold": having(lambda V: P.vset(V, [(P.star_key(V), 2)])),
+        "eps": downward_closure(P, [V for V, mem in levels.items()
+                                    if any(S != P.star_vset(V) for S in mem)]),
+    }
+
+
+def _conjunction(verdicts):
+    """Trivalent AND: any "no" gives "no" (asking no further), else any
+    "indeterminate" gives "indeterminate", else "yes"."""
+    out = YES
+    for r in verdicts:
+        if r == NO:
+            return NO
+        if r == INDETERMINATE:
+            out = INDETERMINATE
+    return out
+
+
 # -- the system class --------------------------------------------------------
 
 
 class WeakIndexingSystem:
-    """One weak indexing system, in sparse, generated, or predicate form."""
+    """One weak indexing system, backed by its exact sparse levels or by a
+    trivalent membership oracle.
 
-    def __init__(self, P, form, sparse_levels=None, gens=None, bound=None,
-                 predicate=None, families=None, label=None):
+    `from_sparse` gives the sparse backing.  `from_generators` and
+    `from_predicate` give an oracle: the saturation of the generators up to a
+    point bound (beyond it every answer is "indeterminate"), or the callable.
+    An oracle-backed system may also carry a bound and the member levels it
+    already knows (a generated system its saturation, a meet every common
+    member its inputs know of).  Systems are equal when their content is:
+    the sparse levels whenever those describe the system faithfully, else
+    the bound and known levels of a bounded system.  A predicate without a
+    faithful sparse form has no finite content and is equal only to itself.
+    """
+
+    def __init__(self, P, sparse_levels=None, oracle=None, gens=None,
+                 bound=None, known=None, families=None, label=None):
         self.P = P
-        self.form = form
         self.sparse_levels = sparse_levels
+        self.oracle = oracle
         self.gens = gens
         self.bound = bound
-        self.predicate = predicate
-        self._families = families
         self.label = label
+        self._known = known
+        self._families = families
         self._member_cache = {}
-        self._saturation = None
+        self._level_info = None
+        self._content_key = None
+        self._hash = None
+
+    @property
+    def form(self):
+        """How the system is stored: "sparse", "generated" (generators and a
+        bound) or "predicate"."""
+        if self.sparse_levels is not None:
+            return "sparse"
+        return "predicate" if self.gens is None else "generated"
 
     # -- constructors -----------------------------------------------------
 
@@ -315,24 +392,20 @@ class WeakIndexingSystem:
                         raise NotClosed(f"{S} filed under level {V!r}", witness=S)
                     if not is_sparse(P, S):
                         raise NotClosed(f"{S} is not sparse", witness=S)
-            gens = [S for mem in full.values() for S in mem]
-            bound = max(sparse_bound(P), 2)
-            sat = saturate(P, gens, bound)
-            got = sparse_part(P, sat)
+            got = sparse_closure(P, [S for mem in full.values() for S in mem])
             for V in P.orbit_classes:
                 extra = got[V] - full[V]
                 if extra:
                     raise NotClosed(
                         f"sparse data is not closed: level {V!r} also "
                         f"generates {sorted(extra)[0]}", witness=sorted(extra)[0])
-            eps = _eps_of_sparse(P, full)
-            unit = frozenset(V for V, mem in full.items() if P.empty_vset(V) in mem)
-            if eps != unit:
+            fam = families_of_levels(P, full)
+            if fam["eps"] != fam["unit"]:
                 raise NotClosed(
                     "sparse data generates a system that is not almost "
-                    f"essentially unital (eps {sorted(eps)} vs unit {sorted(unit)})",
-                    witness=None)
-        return cls(P, "sparse", sparse_levels=full, label=label)
+                    f"essentially unital (eps {sorted(fam['eps'])} vs unit "
+                    f"{sorted(fam['unit'])})", witness=None)
+        return cls(P, sparse_levels=full, label=label)
 
     @classmethod
     def from_generators(cls, P, gens, bound=None, label=None):
@@ -346,12 +419,13 @@ class WeakIndexingSystem:
         if bound < biggest:
             raise BoundTooSmall(
                 f"bound {bound} is below the largest generator ({biggest} points)")
-        return cls(P, "generated", gens=gens, bound=max(bound, 2), label=label)
+        W = cls(P, gens=gens, bound=max(bound, 2), label=label)
+        W.oracle = W._bounded_member
+        return W
 
     @classmethod
     def from_predicate(cls, P, predicate, families=None, label=None):
-        return cls(P, "predicate", predicate=predicate, families=families,
-                   label=label)
+        return cls(P, oracle=predicate, families=families, label=label)
 
     # -- membership ---------------------------------------------------------
 
@@ -361,115 +435,99 @@ class WeakIndexingSystem:
             raise MixedPresentation(f"query over unknown class {S.over!r}")
         hit = self._member_cache.get(S)
         if hit is None:
-            hit = self._member_uncached(S)
+            if self.sparse_levels is not None:
+                hit = YES if sparse_member(self.P, self.sparse_levels, S) else NO
+            else:
+                hit = self.oracle(S)
             self._member_cache[S] = hit
         return hit
 
-    def _member_uncached(self, S):
-        P = self.P
-        if self.form == "sparse":
-            if is_sparse(P, S):
-                return YES if S in self.sparse_levels[S.over] else NO
-            d = sparse_decompose(P, S)
-            if d.reduced not in self.sparse_levels[S.over]:
-                return NO
-            return YES if all(self.member(p) == YES for p in d.pieces) else NO
-        if self.form == "generated":
-            if P.points(S) > self.bound:
-                return INDETERMINATE
-            if self._saturation is None:
-                self._saturation = saturate(P, self.gens, self.bound)
-            return YES if S in self._saturation[S.over] else NO
-        return self.predicate(S)
+    def _bounded_member(self, S):
+        """The oracle of a generated system: its saturation, which it keeps
+        as its known levels, decides everything up to the bound."""
+        if self._known is None:
+            self._known = saturate(self.P, self.gens, self.bound)
+        if self.P.points(S) > self.bound:
+            return INDETERMINATE
+        return YES if S in self._known[S.over] else NO
 
     # -- derived data ---------------------------------------------------------
 
+    def _levels(self):
+        """(levels, sparse, faithful): member levels holding at least every
+        sparse member, the sparse members, and whether those describe the
+        system exactly (no sparse V-set undecided, and almost essentially
+        unital).  The levels are the known ones when the system has them."""
+        if self._level_info is None:
+            P = self.P
+            if self.sparse_levels is not None:
+                self._level_info = (self.sparse_levels, self.sparse_levels, True)
+                return self._level_info
+            sparse, decided = {}, True
+            for V in P.orbit_classes:
+                verdicts = [(S, self.member(S)) for S in sparse_universe(P, V)]
+                sparse[V] = frozenset(S for S, r in verdicts if r == YES)
+                decided = decided and all(r != INDETERMINATE for _, r in verdicts)
+            # the scan has saturated a generated system
+            levels = sparse if self._known is None else self._known
+            if self._families is None:
+                self._families = families_of_levels(P, levels)
+            faithful = decided and self._families["eps"] == self._families["unit"]
+            self._level_info = (levels, sparse, faithful)
+        return self._level_info
+
     def sparse(self):
         """The sparse members, by level (exactly the data of a sparse form)."""
-        if self.form == "sparse":
-            return dict(self.sparse_levels)
-        out = {}
-        for V in self.P.orbit_classes:
-            out[V] = frozenset(S for S in sparse_universe(self.P, V)
-                               if self.member(S) == YES)
-        return out
+        return dict(self._levels()[1])
 
     def families(self):
         """The color, unit, fold, and one-extra-orbit families of the system."""
-        if self._families is not None:
-            return dict(self._families)
-        P = self.P
-        if self.form == "sparse":
-            levels = self.sparse_levels
-            fams = {
-                "color": frozenset(V for V, mem in levels.items() if mem),
-                "unit": frozenset(V for V, mem in levels.items()
-                                  if P.empty_vset(V) in mem),
-                "fold": frozenset(V for V, mem in levels.items()
-                                  if P.vset(V, [(P.star_key(V), 2)]) in mem),
-                "eps": _eps_of_sparse(P, levels),
-            }
-        elif self.form == "generated":
-            if self._saturation is None:
-                self._saturation = saturate(P, self.gens, self.bound)
-            levels = self._saturation
-            fams = {
-                "color": frozenset(V for V, mem in levels.items() if mem),
-                "unit": frozenset(V for V, mem in levels.items()
-                                  if P.empty_vset(V) in mem),
-                "fold": frozenset(V for V, mem in levels.items()
-                                  if P.vset(V, [(P.star_key(V), 2)]) in mem),
-                "eps": downward_closure(P, [
-                    V for V, mem in levels.items()
-                    if any(S != P.star_vset(V) for S in mem)]),
-            }
-        else:
-            sp = self.sparse()
-            fams = {
-                "color": frozenset(V for V in P.orbit_classes
-                                   if self.member(P.star_vset(V)) == YES),
-                "unit": frozenset(V for V in P.orbit_classes
-                                  if self.member(P.empty_vset(V)) == YES),
-                "fold": frozenset(
-                    V for V in P.orbit_classes
-                    if self.member(P.vset(V, [(P.star_key(V), 2)])) == YES),
-                "eps": _eps_of_sparse(P, sp),
-            }
-        self._families = fams
-        return dict(fams)
+        if self._families is None:
+            levels = self._levels()[0]
+            if self._families is None:     # an oracle's scan sets them
+                self._families = families_of_levels(self.P, levels)
+        return dict(self._families)
 
     def members_up_to(self, V, bound):
         """Every member over V with at most `bound` points."""
-        if self.form == "generated" and bound > self.bound:
+        if self.bound is not None and bound > self.bound:
             raise BoundTooSmall(
                 f"cannot enumerate members up to {bound} with bound {self.bound}")
         return [S for S in self.P.vsets_up_to(V, bound) if self.member(S) == YES]
+
+    # -- equality by content ------------------------------------------------
+
+    def _content(self):
+        """What equality and hashing compare: the faithful sparse levels,
+        else the bound and known levels of a bounded system, else identity."""
+        if self._content_key is None:
+            levels, sparse, faithful = self._levels()
+            if faithful:
+                self._content_key = frozenset(sparse.items())
+            elif self.bound is not None:
+                self._content_key = (self.bound, frozenset(levels.items()))
+            else:
+                self._content_key = id(self)
+        return self._content_key
 
     def __eq__(self, other):
         if not isinstance(other, WeakIndexingSystem):
             return NotImplemented
         if self.P.key != other.P.key:
             return False
-        if self.form == "sparse" and other.form == "sparse":
+        if self.sparse_levels is not None and other.sparse_levels is not None:
             return self.sparse_levels == other.sparse_levels
-        return self is other
+        return self._content() == other._content()
 
     def __hash__(self):
-        if self.form == "sparse":
-            return hash((self.P.key,
-                         tuple(sorted((V, tuple(sorted(mem)))
-                                      for V, mem in self.sparse_levels.items()))))
-        return id(self)
+        if self._hash is None:
+            self._hash = hash((self.P.key, self._content()))
+        return self._hash
 
     def __repr__(self):
-        tag = self.label or self.form
+        tag = self.label or ("sparse" if self.sparse_levels is not None
+                             else "oracle")
         return f"<WeakIndexingSystem {tag} over {self.P.key}>"
-
-
-def _eps_of_sparse(P, levels):
-    nontrivial = [V for V, mem in levels.items()
-                  if any(S != P.star_vset(V) for S in mem)]
-    return downward_closure(P, nontrivial)
 
 
 # -- module-level operations ---------------------------------------------
@@ -505,57 +563,63 @@ def _check_same_presentation(W1, W2):
 
 
 def _generators_of(W):
-    if W.form == "sparse":
-        return [S for mem in W.sparse_levels.values() for S in mem]
-    if W.form == "generated":
+    if W.gens is not None:
         return list(W.gens)
-    raise UnsupportedBackend(
-        "a predicate-form system has no generators; use sparse_extract first")
+    _, sparse, faithful = W._levels()
+    if not faithful:
+        raise UnsupportedBackend(
+            "a predicate-backed system that its sparse members do not "
+            "describe has no generators")
+    return [S for mem in sparse.values() for S in mem]
 
 
 def leq(W1, W2):
     """Trivalent containment test."""
     _check_same_presentation(W1, W2)
-    if W1.form == "sparse" and W2.form == "sparse":
+    if W1.sparse_levels is not None and W2.sparse_levels is not None:
         return YES if all(W1.sparse_levels[V] <= W2.sparse_levels[V]
                           for V in W1.P.orbit_classes) else NO
-    verdicts = {W2.member(g) for g in _generators_of(W1)}
-    if NO in verdicts:
-        return NO
-    if INDETERMINATE in verdicts:
-        return INDETERMINATE
-    return YES
+    return _conjunction(W2.member(g) for g in _generators_of(W1))
 
 
 def join(W1, W2):
     _check_same_presentation(W1, W2)
     P = W1.P
-    if W1.form == "sparse" and W2.form == "sparse":
+    if W1.sparse_levels is not None and W2.sparse_levels is not None:
         gens = [S for V in P.orbit_classes
                 for S in (W1.sparse_levels[V] | W2.sparse_levels[V])]
-        sat = saturate(P, gens, max(sparse_bound(P), 2))
-        return WeakIndexingSystem.from_sparse(P, sparse_part(P, sat),
+        return WeakIndexingSystem.from_sparse(P, sparse_closure(P, gens),
                                               validate=False)
-    gens = _generators_of(W1) + _generators_of(W2)
-    bounds = [W.bound for W in (W1, W2) if W.form == "generated"]
+    bounds = [W.bound for W in (W1, W2) if W.bound is not None]
     return WeakIndexingSystem.from_generators(
-        P, gens, bound=max(bounds) if bounds else None)
+        P, _generators_of(W1) + _generators_of(W2),
+        bound=max(bounds, default=None))
 
 
 def meet(W1, W2):
     _check_same_presentation(W1, W2)
     P = W1.P
-    if W1.form == "sparse" and W2.form == "sparse":
+    if W1.sparse_levels is not None and W2.sparse_levels is not None:
         levels = {V: W1.sparse_levels[V] & W2.sparse_levels[V]
                   for V in P.orbit_classes}
         return WeakIndexingSystem.from_sparse(P, levels, validate=False)
-    bound = min(W.bound for W in (W1, W2) if W.form == "generated")
-    gens = []
-    for V in P.orbit_classes:
-        for S in P.vsets_up_to(V, bound):
-            if W1.member(S) == YES and W2.member(S) == YES:
-                gens.append(S)
-    return WeakIndexingSystem.from_generators(P, gens, bound=bound)
+
+    def both(S):
+        return _conjunction(W.member(S) for W in (W1, W2))
+
+    # The result knows every common member that either side knows of (the
+    # common sparse members alone can miss a nontrivial level).  Under the
+    # smaller bound of the inputs that is every member up to that bound, so
+    # those members serve as its generators.
+    known1, known2 = W1._levels()[0], W2._levels()[0]
+    levels = {V: frozenset(S for S in known1[V] | known2[V] if both(S) == YES)
+              for V in P.orbit_classes}
+    bound = min((W.bound for W in (W1, W2) if W.bound is not None),
+                default=None)
+    gens = None if bound is None else tuple(
+        S for V in P.orbit_classes for S in sorted(levels[V]))
+    return WeakIndexingSystem(P, oracle=both, gens=gens, bound=bound,
+                              known=levels)
 
 
 def sparse_extract(W):
@@ -566,27 +630,13 @@ def sparse_extract(W):
     Otherwise the (still correct) sparse members are returned as a generated
     form, which underapproximates W.
     """
-    if W.form == "sparse":
+    if W.sparse_levels is not None:
         return W, True
-    P = W.P
-    levels = {}
-    exact = True
-    for V in P.orbit_classes:
-        keep = []
-        for S in sparse_universe(P, V):
-            r = W.member(S)
-            if r == YES:
-                keep.append(S)
-            elif r == INDETERMINATE:
-                exact = False
-        levels[V] = frozenset(keep)
-    if exact:
-        fam = W.families()
-        exact = fam["eps"] == fam["unit"]
-    if exact:
-        return WeakIndexingSystem.from_sparse(P, levels, validate=False), True
-    gens = [S for mem in levels.values() for S in mem]
-    return WeakIndexingSystem.from_generators(P, gens), False
+    _, sparse, faithful = W._levels()
+    if faithful:
+        return WeakIndexingSystem.from_sparse(W.P, sparse, validate=False), True
+    gens = [S for mem in sparse.values() for S in mem]
+    return WeakIndexingSystem.from_generators(W.P, gens), False
 
 
 def sparse_generate(P, levels):
@@ -608,64 +658,39 @@ def validate_wic(W, bound=None):
     P = W.P
     if bound is None:
         bound = max(sparse_bound(P), 4)
-        if W.form == "generated":
+        if W.bound is not None:
             bound = min(bound, W.bound)
-    out = {}
-    members = {V: W.members_up_to(V, bound) for V in P.orbit_classes}
+    members = [S for V in P.orbit_classes for S in W.members_up_to(V, bound)]
 
-    witness = None
-    for V in P.orbit_classes:
-        for S in members[V]:
-            for w in P.slice_keys(V):
-                if W.member(P.restrict(w, S)) != YES:
-                    witness = (S, w)
-                    break
-    out["restriction-stable"] = (witness is None, witness)
+    def first(pairs):
+        """(ok, witness): the first pair (x, gap) with a gap, if any."""
+        for x, gap in pairs:
+            if gap is not None:
+                return False, (x, gap)
+        return True, None
 
-    out["segal"] = (True, "holds by representation: levels are plain sets of V-sets")
+    def restriction_gap(S):
+        return next((w for w in P.slice_keys(S.over)
+                     if W.member(P.restrict(w, S)) != YES), None)
 
-    fam = W.families()
-    everything = frozenset(P.orbit_classes)
-    missing = sorted(everything - fam["color"])
-    out["one-color"] = (not missing, missing or None)
+    def summand_gap(S):
+        return next((T for T in sub_multisets(S)
+                     if T != S and W.member(T) != YES), None)
 
-    def submultisets_member(S, skip_full):
-        from .presentation import sub_multisets
-        for T in sub_multisets(S):
-            if skip_full and T == S:
-                continue
-            if W.member(T) != YES:
-                return T
-        return None
+    def fold_gap(V):
+        return next((n for n in range(bound + 1)
+                     if W.member(P.star_vset(V).scale(n)) != YES), None)
 
-    witness = None
-    for V in P.orbit_classes:
-        for S in members[V]:
-            if S == P.star_vset(V):
-                continue
-            bad = submultisets_member(S, skip_full=True)
-            if bad is not None:
-                witness = (S, bad)
-                break
-    out["summand-closed-nontrivial"] = (witness is None, witness)
-
-    witness = None
-    for V in P.orbit_classes:
-        for S in members[V]:
-            bad = submultisets_member(S, skip_full=True)
-            if bad is not None:
-                witness = (S, bad)
-                break
-    out["summand-closed"] = (witness is None, witness)
-
-    witness = None
-    for V in P.orbit_classes:
-        for n in range(bound + 1):
-            if W.member(P.star_vset(V).scale(n)) != YES:
-                witness = (V, n)
-                break
-    out["all-folds"] = (witness is None, witness)
-    return out
+    missing = sorted(frozenset(P.orbit_classes) - W.families()["color"])
+    return {
+        "restriction-stable": first((S, restriction_gap(S)) for S in members),
+        "segal": (True, "holds by representation: levels are plain sets of V-sets"),
+        "one-color": (not missing, missing or None),
+        "summand-closed-nontrivial": first(
+            (S, summand_gap(S)) for S in members if S != P.star_vset(S.over)),
+        "summand-closed": first((S, summand_gap(S)) for S in members),
+        "all-folds": first((V, fold_gap(V)) for V in P.orbit_classes),
+    }
 
 
 # -- named systems -----------------------------------------------------------
@@ -683,45 +708,36 @@ def _family_or_all(P, family):
     return fam
 
 
+def _on_family(P, family, tag, level):
+    """The sparse system with the members `level(V)` at each class V of the
+    family and nothing elsewhere, labelled `tag[family]`."""
+    fam = _family_or_all(P, family)
+    levels = {V: frozenset(level(V)) if V in fam else frozenset()
+              for V in P.orbit_classes}
+    return WeakIndexingSystem.from_sparse(
+        P, levels, validate=False, label=f"{tag}[{','.join(sorted(fam))}]")
+
+
 def f_trivial(P, family=None):
     """Only the terminal V-set, on the given family of levels."""
-    fam = _family_or_all(P, family)
-    levels = {V: frozenset([P.star_vset(V)]) if V in fam else frozenset()
-              for V in P.orbit_classes}
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False,
-                                          label=f"F^triv[{','.join(sorted(fam))}]")
+    return _on_family(P, family, "F^triv", lambda V: [P.star_vset(V)])
 
 
 def f_zero(P, family=None):
     """The terminal and empty V-sets, on the given family of levels."""
-    fam = _family_or_all(P, family)
-    levels = {V: frozenset([P.star_vset(V), P.empty_vset(V)])
-              if V in fam else frozenset() for V in P.orbit_classes}
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False,
-                                          label=f"F^0[{','.join(sorted(fam))}]")
+    return _on_family(P, family, "F^0",
+                      lambda V: [P.star_vset(V), P.empty_vset(V)])
 
 
 def f_infinity(P, family=None):
     """All fold maps (every multiple of the point), on the given family."""
-    fam = _family_or_all(P, family)
-    levels = {}
-    for V in P.orbit_classes:
-        if V in fam:
-            levels[V] = frozenset([P.empty_vset(V), P.star_vset(V),
-                                   P.vset(V, [(P.star_key(V), 2)])])
-        else:
-            levels[V] = frozenset()
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False,
-                                          label=f"F^inf[{','.join(sorted(fam))}]")
+    return _on_family(P, family, "F^inf", lambda V: [
+        P.empty_vset(V), P.star_vset(V), P.vset(V, [(P.star_key(V), 2)])])
 
 
 def f_complete(P, family=None):
     """Everything, on the given family of levels."""
-    fam = _family_or_all(P, family)
-    levels = {V: frozenset(sparse_universe(P, V)) if V in fam else frozenset()
-              for V in P.orbit_classes}
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False,
-                                          label=f"F[{','.join(sorted(fam))}]")
+    return _on_family(P, family, "F", lambda V: sparse_universe(P, V))
 
 
 def e_system(P, family, W):
@@ -740,26 +756,22 @@ def e_system(P, family, W):
 def bor_system(P, family, W):
     """Truncate a system to the family: levels outside it are emptied."""
     fam = _family_or_all(P, family)
-    if W.form == "sparse":
-        levels = {V: (W.sparse_levels[V] if V in fam else frozenset())
-                  for V in P.orbit_classes}
-        return WeakIndexingSystem.from_sparse(P, levels, validate=False)
-    if W.form == "generated":
-        gens = [S for V in fam for S in W.members_up_to(V, W.bound)]
-        return WeakIndexingSystem.from_generators(P, gens, bound=W.bound)
-
-    def pred(S):
-        return W.member(S) if S.over in fam else NO
-
-    fams = W.families()
-    trimmed = {
-        "color": fams["color"] & fam,
-        "unit": fams["unit"] & fam,
-        "fold": fams["fold"] & fam,
-        # nontrivial levels inside the family, closed back down
-        "eps": downward_closure(P, fams["eps"] & fam),
-    }
-    return WeakIndexingSystem.from_predicate(P, pred, families=trimmed)
+    levels = W._levels()[0]
+    trimmed = {V: (levels[V] if V in fam else frozenset())
+               for V in P.orbit_classes}
+    if W.sparse_levels is not None:
+        return WeakIndexingSystem.from_sparse(P, trimmed, validate=False)
+    if W.gens is not None:
+        # every member up to the bound, trimmed: still closed, and exact
+        return WeakIndexingSystem.from_generators(
+            P, [S for V in P.orbit_classes for S in sorted(trimmed[V])],
+            bound=W.bound)
+    # The families are trimmed rather than read off the trimmed levels, which
+    # may miss a nontrivial member that is not sparse.  Trimming can only
+    # overstate eps, and then the result just compares by identity.
+    return WeakIndexingSystem(
+        P, oracle=lambda S: W.member(S) if S.over in fam else NO,
+        known=trimmed, families={k: F & fam for k, F in W.families().items()})
 
 
 def f_perp_nu(P, family):
@@ -789,14 +801,13 @@ def slice_restrict_wis(W, V):
     orbits of the slice)."""
     P = W.P
     Q = P.slice_presentation(V)
-    sp, exact = sparse_extract(W)
-    if not exact:
+    _, sparse, faithful = W._levels()
+    if not faithful:
         raise UnsupportedBackend(
             "slice restriction needs a faithfully sparse system")
-    levels = {u: frozenset(VSet(u, S.orbits)
-                           for S in sp.sparse_levels[P.slice_cls(V, u)])
-              for u in P.slice_keys(V)}
-    return WeakIndexingSystem.from_sparse(Q, levels, validate=False)
+    return WeakIndexingSystem.from_sparse(
+        Q, {u: frozenset(VSet(u, S.orbits) for S in sparse[P.slice_cls(V, u)])
+            for u in P.slice_keys(V)}, validate=False)
 
 
 def coinduce_wis(P, V, I):
@@ -821,31 +832,10 @@ def coinduce_wis(P, V, I):
         matches[U] = pairs
 
     def pred(S):
-        U = S.over
-        saw_indeterminate = False
-        for a, bs in matches[U]:
-            R = P.restrict(a, S)
-            for b in bs:
-                r = I.member(VSet(b, R.orbits))
-                if r == NO:
-                    return NO
-                if r == INDETERMINATE:
-                    saw_indeterminate = True
-        return INDETERMINATE if saw_indeterminate else YES
+        return _conjunction(I.member(VSet(b, P.restrict(a, S).orbits))
+                            for a, bs in matches[S.over] for b in bs)
 
-    W = WeakIndexingSystem.from_predicate(P, pred, label=f"CoInd_{V}")
-
-    fams = {
-        "color": frozenset(U for U in P.orbit_classes
-                           if pred(P.star_vset(U)) == YES),
-        "unit": frozenset(U for U in P.orbit_classes
-                          if pred(P.empty_vset(U)) == YES),
-        "fold": frozenset(U for U in P.orbit_classes
-                          if pred(P.vset(U, [(P.star_key(U), 2)])) == YES),
-    }
-    fams["eps"] = _eps_of_sparse(P, W.sparse())
-    W._families = fams
-    return W
+    return WeakIndexingSystem.from_predicate(P, pred, label=f"CoInd_{V}")
 
 
 # -- multiplicative hull -------------------------------------------------------

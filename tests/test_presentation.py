@@ -86,6 +86,19 @@ def test_vset_algebra():
     assert str(P.empty_vset("e")) == "0@e"
 
 
+def test_vset_is_canonical():
+    C2 = chain_group(2, 1)
+    with pytest.raises(InvalidSpec):
+        VSet("C_2", (("e", 0),))
+    with pytest.raises(InvalidSpec):
+        VSet("C_2", (("e", 1), ("C_2", 1)))    # keys out of order
+    with pytest.raises(InvalidSpec):
+        VSet("C_2", (("e", 1), ("e", 1)))      # repeated key
+    assert VSet("C_2", ()) == C2.empty_vset("C_2")
+    assert VSet("C_2", (("C_2", 1), ("e", 2))) == \
+        C2.vset("C_2", [("e", 2), ("C_2", 1)])
+
+
 def test_sub_multisets_counts():
     P = chain_group(2, 2)
     S = P.vset("C_4", [("e", 1), ("C_2", 2)])

@@ -33,10 +33,14 @@ def unital21(C4):
 # -- lattice laws (169 pairs, 2197 triples) ---------------------------------------
 
 
-def test_join_meet_commute(ae13):
+def test_join_meet_commute(ae13, C2):
     for a, b in itertools.product(ae13, ae13):
         assert join(a, b) == join(b, a)
         assert meet(a, b) == meet(b, a)
+    # generated and non-aE systems join by generators and compare by content
+    pool = _pool(C2)
+    for a, b in itertools.product(pool[len(ae13):], pool):
+        assert join(a, b) == join(b, a)
 
 
 def test_absorption_and_idempotence(ae13):

@@ -14,7 +14,9 @@ from windex import (
     slice_restrict_wis, sparse_bound, sparse_decompose, sparse_extract,
     sparse_generate, sparse_part, sparse_universe, validate_wic,
 )
+from windex.enumeration import enumerate_systems
 from windex.presentation import VSet
+from windex.serialize import system_from_obj, system_to_obj
 
 from helpers import naive_closure, s3_table
 
@@ -115,6 +117,23 @@ def test_membership_matches_naive_closure(P_name, bound, request):
         for V in P.orbit_classes:
             for S in P.vsets_up_to(V, bound):
                 assert (W.member(S) == YES) == (S in expected[V]), (gens, S)
+
+
+@pytest.mark.parametrize("P,which", [
+    (chain_group(2, 1), "aE_unital"),
+    (chain_group(2, 2), "unital"),
+    (S3, "indexing"),
+], ids=["C2-aE_unital", "C4-unital", "S3-indexing"])
+def test_sparse_membership_matches_saturation(P, which):
+    # the fast path (lookup plus isotropy decomposition) against saturating
+    # the sparse members, one point past the largest sparse V-set
+    bound = sparse_bound(P) + 1
+    for W in enumerate_systems(P, which):
+        sat = saturate(P, [S for mem in W.sparse().values() for S in mem],
+                       bound)
+        for V in P.orbit_classes:
+            for S in P.vsets_up_to(V, bound):
+                assert (W.member(S) == YES) == (S in sat[V]), (W, S)
 
 
 def test_saturate_matches_naive_on_s3():
@@ -298,6 +317,73 @@ def test_mixed_presentation_rejected(C2, C4):
         join(f_zero(C2), f_zero(C4))
     with pytest.raises(MixedPresentation):
         f_zero(C2).member(C4.star_vset("C_4"))
+
+
+def test_meet_off_the_sparse_path_is_the_and_of_memberships(C2):
+    A, B = f_zero(C2), f_perp_nu(C2, ())
+    M = meet(A, B)
+    for V in C2.orbit_classes:
+        for S in C2.vsets_up_to(V, 4):
+            both = A.member(S) == YES and B.member(S) == YES
+            assert M.member(S) == (YES if both else NO), S
+    # "no" from either side wins over "indeterminate" from the other
+    G = WeakIndexingSystem.from_generators(C2, [C2.empty_vset("e")], bound=3)
+    big = C2.star_vset("e").scale(5)
+    assert meet(G, f_complete(C2)).member(big) == INDETERMINATE
+    assert meet(G, f_zero(C2)).member(big) == NO
+    # odd multiples of the point: nontrivial at e with no sparse witness
+    odd = WeakIndexingSystem.from_generators(C2, [C2.star_vset("e").scale(3)])
+    assert not classify(meet(odd, odd))["aE_unital"]
+    assert meet(odd, odd) != f_trivial(C2, ["e"])
+
+
+def test_generated_systems_compare_by_content(C2):
+    gens = [C2.vset("e", [(C2.star_key("e"), 2)]), C2.star_vset("C_2")]
+    a = WeakIndexingSystem.from_generators(C2, gens)
+    b = WeakIndexingSystem.from_generators(C2, list(reversed(gens)))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != WeakIndexingSystem.from_generators(C2, gens, bound=4)
+
+
+def test_generated_form_of_a_sparse_system_is_equal(C2):
+    W = WeakIndexingSystem.from_generators(
+        C2, [C2.empty_vset("e"), C2.empty_vset("C_2"), C2.star_vset("C_2")])
+    assert W == f_zero(C2) and f_zero(C2) == W
+    assert hash(W) == hash(f_zero(C2))
+    assert len({W, f_zero(C2)}) == 1
+
+
+def _odd_multiples(C2):
+    # the odd multiples of the point over e: nontrivial with no sparse witness
+    return WeakIndexingSystem.from_generators(C2, [C2.star_vset("e").scale(3)])
+
+
+def test_meet_and_bor_of_generated_systems_stay_bounded(C2):
+    star_e, star_c2 = C2.star_key("e"), C2.star_key("C_2")
+    folds = WeakIndexingSystem.from_generators(C2, [
+        C2.empty_vset("e"), C2.vset("e", [(star_e, 2)]),
+        C2.empty_vset("C_2"), C2.vset("C_2", [(star_c2, 2)])], bound=3)
+    odd = _odd_multiples(C2)
+    for W in (meet(odd, odd), bor_system(C2, None, odd),
+              meet(folds, folds), meet(folds, f_complete(C2)),
+              bor_system(C2, None, folds)):
+        assert W.bound in (odd.bound, folds.bound)
+        assert system_from_obj(system_to_obj(W)) == W
+        assert join(W, f_zero(C2)) == join(f_zero(C2), W)
+        assert leq(W, W) == YES
+        with pytest.raises(BoundTooSmall):
+            W.members_up_to("e", W.bound + 1)
+    for W in (meet(folds, folds), bor_system(C2, None, folds)):
+        assert all(ok for ok, _ in validate_wic(W).values())
+
+
+def test_meet_and_bor_keep_non_sparse_members(C2):
+    M = meet(_odd_multiples(C2), _odd_multiples(C2))
+    for W in (meet(M, M), bor_system(C2, None, M), bor_system(C2, ["e"], M)):
+        assert not classify(W)["aE_unital"]
+        assert W != f_trivial(C2, ["e"])
+        assert W.member(C2.star_vset("e").scale(3)) == YES
 
 
 # -- truncation and extension ----------------------------------------------------

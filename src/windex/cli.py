@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 when a requested validation fails or a transport
-target is not reachable, 2 on malformed input.
+target is not reachable, 2 on malformed input.  Any other exception is a
+fault in the package and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from .enumeration import (
 )
 from .fibrations import TargetNotAbove, cocartesian_transport
 from .presentation import (
-    chain_group, one_object_groupoid, trivial_point,
+    NoSuchMap, UnsupportedBackend, chain_group, one_object_groupoid,
+    trivial_point,
 )
 from .reps import arity_support, named_rep
 from .serialize import SerializationError
@@ -158,14 +160,17 @@ def cmd_transport(args):
     elif args.map == "transfer":
         target = serialize.transfer_from_obj(target_obj)
     elif args.map == "transfer-fold":
-        R = serialize.transfer_from_obj(
-            {"kind": "transfer", "presentation": target_obj.get("presentation"),
-             "pairs": target_obj.get("transfer", [])})
-        fam = target_obj.get("family")
-        if fam is None:
+        if not isinstance(target_obj, dict) or "family" not in target_obj:
             raise SerializationError(
                 "transfer-fold target needs 'transfer' and 'family' fields")
-        target = (R, frozenset(fam))
+        spec = target_obj.get("presentation")
+        R = serialize.transfer_from_obj(
+            {"kind": "transfer", "presentation": spec,
+             "pairs": target_obj.get("transfer", [])})
+        _, fam = serialize.family_from_obj(
+            {"kind": "family", "presentation": spec,
+             "members": target_obj["family"]})
+        target = (R, fam)
     else:
         raise SerializationError(f"unknown map {args.map!r}")
     try:
@@ -269,7 +274,7 @@ def main(argv=None):
     except NotClosed as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except (SerializationError, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, UnsupportedBackend, NoSuchMap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

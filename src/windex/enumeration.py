@@ -22,6 +22,7 @@ from .fibrations import (
     enumerate_families, enumerate_transfer_systems, fold_left, minimal_unital,
     transfer_to_indexing,
 )
+from .sieves import fiber_systems
 
 ENUMERATION_CAP = 2 ** 16
 
@@ -160,8 +161,6 @@ def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
 def enumerate_systems_fiberwise(P, which="unital"):
     """The unital systems assembled fiber by fiber over (transfer system,
     fold family) pairs; chain presentations only."""
-    from .sieves import fiber_systems
-
     which = normalize_class(which)
     out = []
     for R in enumerate_transfer_systems(P):

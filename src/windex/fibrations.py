@@ -190,9 +190,8 @@ def transfer_domain(R):
     out = set()
     for v, W in R.strict():
         for a in P.slice_keys(W):
-            U = P.slice_cls(W, a)
-            if P.restrict_orbit(W, a, v).mult(P.star_key(U)) >= 2:
-                out.add(U)
+            if P.fixed_points(W, a, ((v, 1),)) >= 2:
+                out.add(P.slice_cls(W, a))
     return frozenset(out)
 
 
@@ -234,16 +233,28 @@ def fold_left(P, family):
 
 
 def fold_right(P, family):
-    """The largest unital system whose fold family lies inside the given one,
-    computed extensionally over the enumerated unital poset."""
-    from .enumeration import enumerate_systems
+    """The largest unital system whose fold family lies inside the set F of
+    classes (right adjoint to the fold family): at each class V, the sparse
+    V-sets with at most one fixed point along every map-class whose class
+    lies outside F.
 
+    1. It is unital: the empty set and the point have at most one fixed point.
+    2. Its fold family lies inside F: 2*star at V has two fixed points along
+       the identity.
+    3. It is closed: restrictions compose, and the fixed points of a
+       restricted coproduct sit over those of the restricted indexing set,
+       each in the restricted component there.
+    4. It is the largest such system: a unital system is summand-closed, so
+       a member with two or more fixed points over U puts 2*star at U.
+    """
     fam = frozenset(family)
-    acc = f_zero(P)
-    for Y in enumerate_systems(P, "unital"):
-        if Y.families()["fold"] <= fam:
-            acc = join(acc, Y)
-    return acc
+    levels = {}
+    for V in P.orbit_classes:
+        outside = [w for w in P.slice_keys(V) if P.slice_cls(V, w) not in fam]
+        levels[V] = frozenset(
+            S for S in sparse_universe(P, V)
+            if all(P.fixed_points(V, w, S.orbits) <= 1 for w in outside))
+    return WeakIndexingSystem.from_sparse(P, levels, validate=False)
 
 
 # -- cocartesian transport ---------------------------------------------------

@@ -97,32 +97,27 @@ class GroupTable:
                 return sorted(found, key=lambda H: (len(H), sorted(H)))
             found.update(new)
 
-    def left_coset_reps(self, H, K):
-        """Representatives of H/K, for K <= H.  Identity coset comes first."""
+    def _coset_reps(self, H, coset):
+        """The least element of each coset coset(h), identity first."""
         seen, reps = set(), []
         for h in sorted(H, key=lambda x: (x != self.e, x)):
             if h not in seen:
                 reps.append(h)
-                seen.update(self.mul(h, k) for k in K)
+                seen.update(coset(h))
         return reps
+
+    def left_coset_reps(self, H, K):
+        """Representatives of H/K, for K <= H.  Identity coset comes first."""
+        return self._coset_reps(H, lambda h: (self.mul(h, k) for k in K))
 
     def right_coset_reps(self, K, H):
         """Representatives of K\\H (cosets Kg), identity first."""
-        seen, reps = set(), []
-        for h in sorted(H, key=lambda x: (x != self.e, x)):
-            if h not in seen:
-                reps.append(h)
-                seen.update(self.mul(k, h) for k in K)
-        return reps
+        return self._coset_reps(H, lambda h: (self.mul(k, h) for k in K))
 
     def double_coset_reps(self, L, H, K):
         """Representatives of L\\H/K for L, K <= H."""
-        seen, reps = set(), []
-        for h in sorted(H, key=lambda x: (x != self.e, x)):
-            if h not in seen:
-                reps.append(h)
-                seen.update(self.mul(self.mul(l, h), k) for l in L for k in K)
-        return reps
+        return self._coset_reps(
+            H, lambda h: (self.mul(self.mul(l, h), k) for l in L for k in K))
 
     def subgroups_conjugate(self, A, B, under):
         """Is gAg^-1 = B for some g in `under`?"""

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .presentation import MismatchedIndex, TooLarge, UnsupportedBackend, VSet
+from .presentation import (
+    MismatchedIndex, TooLarge, UnsupportedBackend, VSet, align_components)
 
 COINDUCTION_CAP = 200_000
 
@@ -248,19 +249,6 @@ def coinduce_concrete(P, V, u, X):
                              _to_slice_rep(P, V, u, X))
 
 
-def _align_components(S, T):
-    keys = S.expand()
-    if isinstance(T, dict):
-        try:
-            return keys, [T[k] for k in keys]
-        except KeyError as err:
-            raise MismatchedIndex(f"no component for orbit {err.args[0]!r}") from None
-    comps = list(T)
-    if len(comps) != len(keys):
-        raise MismatchedIndex(f"{len(comps)} components for {len(keys)} orbits")
-    return keys, comps
-
-
 def indexed_product(P, S, T):
     """The S-indexed product of T, as a V-set over S.over.
 
@@ -270,7 +258,7 @@ def indexed_product(P, S, T):
     """
     G = require_group(P)
     V = S.over
-    keys, comps = _align_components(S, T)
+    keys, comps = align_components(S, T)
     prod = point_gset(G, P.class_rep[V])
     for k, t in zip(keys, comps):
         if t.over != P.slice_cls(V, k):

@@ -266,6 +266,16 @@ class OrbitalPresentation:
             acc[k] = acc.get(k, 0) + m
         return VSet(V, tuple(sorted(acc.items())))
 
+    def fixed_points(self, V, w, orbits):
+        """Fixed points along the map-class w of the V-set with these (key,
+        multiplicity) pairs: its restriction's terminal multiplicity."""
+        try:
+            star = self._star[self._cls[(V, w)]]
+            return sum(m * c for u, m in orbits
+                       for k, c in self._res[(V, w, u)] if k == star)
+        except KeyError as err:
+            raise NoSuchMap(f"no restriction entry {err.args[0]!r}") from None
+
     def slice_hom_exists(self, V, a, b):
         """Is there a map a -> b in the slice over V?
 
@@ -274,8 +284,7 @@ class OrbitalPresentation:
         key = (V, a, b)
         hit = self._slice_hom_cache.get(key)
         if hit is None:
-            star = self._star[self._cls[(V, a)]]
-            hit = self.restrict_orbit(V, a, b).mult(star) > 0
+            hit = self.fixed_points(V, a, ((b, 1),)) > 0
             self._slice_hom_cache[key] = hit
         return hit
 
@@ -323,24 +332,26 @@ def restrict_vset(P, f, S):
     return P.restrict(f, S)
 
 
-def indexed_coproduct(P, S, T):
-    """The S-indexed coproduct of the tuple T.
-
-    T assigns to each orbit of S a V-set over its underlying class: either a
-    mapping keyed by slice-orbit key (shared by repeated orbits) or a sequence
-    aligned with ``S.expand()``.
-    """
+def align_components(S, T):
+    """The orbits of S listed with multiplicity, and the component T assigns
+    to each: T is either a mapping keyed by slice-orbit key (shared by
+    repeated orbits) or a sequence aligned with ``S.expand()``."""
     keys = S.expand()
     if isinstance(T, dict):
         try:
-            comps = [T[k] for k in keys]
+            return keys, [T[k] for k in keys]
         except KeyError as err:
             raise MismatchedIndex(f"no component for orbit {err.args[0]!r}") from None
-    else:
-        comps = list(T)
-        if len(comps) != len(keys):
-            raise MismatchedIndex(
-                f"{len(comps)} components for {len(keys)} orbits")
+    comps = list(T)
+    if len(comps) != len(keys):
+        raise MismatchedIndex(f"{len(comps)} components for {len(keys)} orbits")
+    return keys, comps
+
+
+def indexed_coproduct(P, S, T):
+    """The S-indexed coproduct of the tuple T, which assigns to each orbit of
+    S a V-set over its underlying class (see `align_components`)."""
+    keys, comps = align_components(S, T)
     acc = P.empty_vset(S.over)
     for k, t in zip(keys, comps):
         acc = acc + P.induct_vset(S.over, k, t)

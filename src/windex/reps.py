@@ -84,15 +84,8 @@ def embeds(S, rep):
         i = order.index(U)
         if i < top and dims[U] <= dims[order[i + 1]]:
             return False
-    for a in P.slice_keys(V):
-        K = P.slice_cls(V, a)
-        if dims[K] != 0:
-            continue
-        star = P.star_key(K)
-        fixed = sum(m * P.restrict_orbit(V, a, u).mult(star) for u, m in S.orbits)
-        if fixed > 1:
-            return False
-    return True
+    return all(P.fixed_points(V, a, S.orbits) <= 1 for a in P.slice_keys(V)
+               if dims[P.slice_cls(V, a)] == 0)
 
 
 def arity_support(rep):

@@ -25,6 +25,23 @@ def _need(obj, key, kind):
     return obj[key]
 
 
+def _names(value, what):
+    """A JSON list of names, else SerializationError."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SerializationError(f"{what} must be a list of names, not {value!r}")
+    return value
+
+
+def _name_pairs(value, what):
+    """A JSON list of [name, name] pairs, as tuples, else SerializationError."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, list) and len(x) == 2
+            and all(isinstance(y, str) for y in x) for x in value):
+        raise SerializationError(
+            f"{what} must be a list of [name, name] pairs, not {value!r}")
+    return [tuple(x) for x in value]
+
+
 def _presentation_of(obj, kind):
     spec = _need(obj, "presentation", kind)
     try:
@@ -72,6 +89,10 @@ def system_from_obj(obj, validate=False):
     label = obj.get("label")
     if form == "sparse":
         raw = _need(obj, "levels", "system")
+        if not isinstance(raw, dict) or not all(
+                isinstance(v, list) for v in raw.values()):
+            raise SerializationError(
+                f"system levels must map classes to lists of V-sets, not {raw!r}")
         levels = {}
         for V in P.orbit_classes:
             levels[V] = frozenset(vset_from_obj(P, o) for o in raw.get(V, []))
@@ -81,8 +102,12 @@ def system_from_obj(obj, validate=False):
         return WeakIndexingSystem.from_sparse(P, levels, validate=validate,
                                               label=label)
     if form == "generated":
-        gens = [vset_from_obj(P, o) for o in _need(obj, "generators", "system")]
+        raw = _need(obj, "generators", "system")
         bound = obj.get("bound")
+        if not isinstance(raw, list) or not (bound is None or isinstance(bound, int)):
+            raise SerializationError(
+                "a generated system needs a list of generators and an integer bound")
+        gens = [vset_from_obj(P, o) for o in raw]
         return WeakIndexingSystem.from_generators(P, gens, bound=bound,
                                                   label=label)
     raise SerializationError(f"unknown system form {form!r}")
@@ -96,9 +121,9 @@ def transfer_to_obj(R):
 def transfer_from_obj(obj):
     _check_kind(obj, "transfer")
     P = _presentation_of(obj, "transfer")
-    pairs = _need(obj, "pairs", "transfer")
+    pairs = _name_pairs(_need(obj, "pairs", "transfer"), "transfer pairs")
     try:
-        return TransferSystem(P, {(u, V) for u, V in pairs})
+        return TransferSystem(P, pairs)
     except ValueError as exc:
         raise SerializationError(f"bad transfer system: {exc}") from exc
 
@@ -111,7 +136,7 @@ def family_to_obj(P, family):
 def family_from_obj(obj):
     _check_kind(obj, "family")
     P = _presentation_of(obj, "family")
-    members = frozenset(_need(obj, "members", "family"))
+    members = frozenset(_names(_need(obj, "members", "family"), "family members"))
     if not is_family(P, members):
         raise SerializationError(
             f"{sorted(members)} is not downward closed over {P.key}")
@@ -128,10 +153,11 @@ def sieve_to_obj(sv):
 def sieve_from_obj(obj):
     _check_kind(obj, "sieve")
     P = _presentation_of(obj, "sieve")
+    transfer = _name_pairs(_need(obj, "transfer", "sieve"), "sieve transfer")
+    scope = _names(_need(obj, "scope", "sieve"), "sieve scope")
+    pairs = _name_pairs(_need(obj, "pairs", "sieve"), "sieve pairs")
     try:
-        R = TransferSystem(P, {(u, V) for u, V in _need(obj, "transfer", "sieve")})
-        return Sieve(R, frozenset(_need(obj, "scope", "sieve")),
-                     frozenset((k, h) for k, h in _need(obj, "pairs", "sieve")))
+        return Sieve(TransferSystem(P, transfer), frozenset(scope), frozenset(pairs))
     except ValueError as exc:
         raise SerializationError(f"bad sieve: {exc}") from exc
 
@@ -148,6 +174,8 @@ def rep_from_obj(obj):
     _check_kind(obj, "rep")
     P = _presentation_of(obj, "rep")
     dims = _need(obj, "fixed_dims", "rep")
+    if not isinstance(dims, dict):
+        raise SerializationError(f"rep fixed_dims must be an object, not {dims!r}")
     try:
         return RepDescriptor(P, dims, name=obj.get("name"))
     except ValueError as exc:

@@ -27,6 +27,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
+from . import gsets
 from .presentation import VSet, UnsupportedBackend, sub_multisets
 
 YES = "yes"
@@ -849,8 +850,6 @@ def multiplicative_hull(W, component_bound=4):
     The admissible sparse sets form the hull, validated as a closed sparse
     family.  Needs a group-backed presentation for honest products.
     """
-    from . import gsets
-
     P = W.P
     gsets.require_group(P)
     pools = {V: W.members_up_to(V, component_bound) for V in P.orbit_classes}

@@ -7,7 +7,8 @@ restrictions follow the double-coset counting formula directly.
 """
 import itertools
 
-from windex.presentation import indexed_coproduct
+from windex.presentation import indexed_coproduct, meet_semilattice
+from windex.systems import f_zero, join
 
 
 def naive_closure(P, gens, bound):
@@ -69,6 +70,18 @@ def naive_member(P, gens, S, slack=0):
     return S in naive_closure(P, gens, bound)[S.over]
 
 
+def extensional_fold_right(P, family, unital):
+    """The largest unital system whose fold family lies inside `family`,
+    as the join of every system in `unital` (all unital systems over P)
+    whose fold family does."""
+    fam = frozenset(family)
+    acc = f_zero(P)
+    for Y in unital:
+        if Y.families()["fold"] <= fam:
+            acc = join(acc, Y)
+    return acc
+
+
 def s3_table():
     """Multiplication table of the symmetric group on three letters, from
     explicit permutations (row acts first)."""
@@ -78,6 +91,14 @@ def s3_table():
         return tuple(b[a[i]] for i in range(3))
 
     return [[perms.index(compose(a, b)) for b in perms] for a in perms]
+
+
+def diamond_semilattice():
+    """The four-element lattice 0 < a, b < 1 with a and b incomparable, as
+    subsets of a two-element set meeting by intersection."""
+    bits = {"0": 0, "a": 1, "b": 2, "1": 3}
+    name = {v: k for k, v in bits.items()}
+    return meet_semilattice(list(bits), lambda x, y: name[bits[x] & bits[y]])
 
 
 def chain_restrict_oracle(p, v, l, k):

@@ -227,6 +227,39 @@ def test_hull_of_units_is_complete(tmp_path, capsys):
     assert system_from_obj(json.loads(out.read_text())) == f_complete(C2)
 
 
+# -- malformed input and internal faults --------------------------------------------
+
+
+def test_malformed_documents_are_bad_input(tmp_path, capsys):
+    w = _write(tmp_path, "w.json", system_to_obj(f_zero(C4)))
+    not_an_object = _write(tmp_path, "list.json", [1])
+    assert main(["transport", "--map", "transfer-fold", "--to", not_an_object,
+                 w]) == 2
+    levels = _write(tmp_path, "levels.json",
+                    {**system_to_obj(f_zero(C4)), "levels": [1]})
+    assert main(["validate", levels]) == 2
+    pairs = _write(tmp_path, "pairs.json",
+                   {**transfer_to_obj(TransferSystem(C4, [])), "pairs": [1, 2]})
+    assert main(["transport", "--map", "transfer", "--to", pairs, w]) == 2
+    fam = _write(tmp_path, "fam.json", family_to_obj(C4, ["e"]))
+    assert main(["fiber", "--R", pairs, "--family", fam]) == 2
+    family = _write(tmp_path, "family.json", {
+        "presentation": C4.spec, "transfer": [["e", "C_2"]], "family": 3})
+    assert main(["transport", "--map", "transfer-fold", "--to", family, w]) == 2
+    assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_internal_faults_are_not_passed_off_as_bad_input(tmp_path, monkeypatch):
+    w = _write(tmp_path, "w.json", system_to_obj(f_zero(C2)))
+
+    def broken(W, bound=None):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr("windex.cli.validate_wic", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        main(["validate", w])
+
+
 # -- environment and entry point ---------------------------------------------------
 
 

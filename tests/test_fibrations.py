@@ -4,8 +4,9 @@ import itertools
 import pytest
 
 from windex import (
-    NO, NotUnital, TargetNotAbove, TooLarge, TransferSystem, YES, chain_group,
-    classify, cocartesian_transport, enumerate_families,
+    NO, NotUnital, TargetNotAbove, TooLarge, TransferSystem, WeakIndexingSystem,
+    YES, chain_group, classify, cocartesian_transport, cyclic_group,
+    enumerate_families, enumerate_systems_fiberwise,
     enumerate_transfer_systems, f_complete, f_trivial, f_zero, finite_group,
     fold_left, fold_right, is_family, join, leq, minimal_unital,
     one_object_groupoid, transfer_closure, transfer_codomain,
@@ -13,7 +14,7 @@ from windex import (
 )
 from windex.enumeration import enumerate_systems
 
-from helpers import s3_table
+from helpers import diamond_semilattice, extensional_fold_right, s3_table
 
 
 # -- families ------------------------------------------------------------------
@@ -205,3 +206,60 @@ def test_transport_color_and_unit_on_truncated_systems(C4):
     U = cocartesian_transport("unit", f_zero(C4, ["e"]),
                               frozenset(C4.orbit_classes))
     assert U == f_zero(C4)
+
+
+# -- fold_right against its extensional definition -------------------------------
+
+
+def _fold_right_galois(P, F, unital):
+    """Check W <= fold_right(F) exactly when fold(W) lies in F, for every W
+    in `unital`, and return fold_right(F)."""
+    top = fold_right(P, F)
+    for W in unital:
+        assert (leq(W, top) == YES) == (W.families()["fold"] <= frozenset(F)), (F, W)
+    return top
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 1), lambda: chain_group(5, 1),
+    lambda: chain_group(2, 2), lambda: cyclic_group(2, 2), trivial_point,
+    lambda: one_object_groupoid(2),
+], ids=["C2", "C5", "C4", "C4-table", "point", "BG2"])
+def test_fold_right_equals_extensional_join(make):
+    P = make()
+    unital = enumerate_systems(P, "unital")
+    for fam in enumerate_families(P):
+        assert fold_right(P, fam) == extensional_fold_right(P, fam, unital), fam
+
+
+@pytest.mark.parametrize("make, enumerate_unital", [
+    (lambda: chain_group(3, 2), enumerate_systems_fiberwise),
+    (lambda: chain_group(2, 3), enumerate_systems_fiberwise),
+    (lambda: finite_group(s3_table(), name="S3"), enumerate_systems),
+    (diamond_semilattice, enumerate_systems),
+], ids=["C9", "C8", "S3", "diamond"])
+def test_fold_right_is_largest_unital_system_with_fold_family_inside(
+        make, enumerate_unital):
+    P = make()
+    unital = enumerate_unital(P, "unital")
+    for fam in enumerate_families(P):
+        top = _fold_right_galois(P, fam, unital)
+        WeakIndexingSystem.from_sparse(P, top.sparse_levels, validate=True)
+        assert classify(top)["unital"]
+        assert top.families()["fold"] <= fam
+
+
+def test_fold_right_galois_over_c16():
+    P = chain_group(2, 4)
+    unital = enumerate_systems_fiberwise(P, "unital")
+    for fam in enumerate_families(P):
+        _fold_right_galois(P, fam, unital)
+
+
+def test_fold_right_galois_for_sets_that_are_not_families(C4, C8):
+    for P, sets in ((C4, [["C_2"], ["C_4"], ["e", "C_4"]]),
+                    (C8, [["C_2"], ["e", "C_4"], ["e", "C_2", "C_8"]])):
+        unital = enumerate_systems_fiberwise(P, "unital")
+        for F in sets:
+            assert not is_family(P, F)
+            _fold_right_galois(P, F, unital)

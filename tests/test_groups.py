@@ -84,3 +84,25 @@ def test_double_cosets_count_orbits():
                     moved = frozenset(G.mul(G.mul(ell, g), k) for k in K)
                     seen.add(moved)
             assert len(reps) == orbits, (L, K)
+
+
+def test_coset_reps_are_least_elements_of_their_cosets():
+    # identity first, then by element number: presentation keys depend on
+    # this order
+    G = GroupTable(s3_table())
+    subs = G.subgroups()
+    first = lambda x: (x != G.e, x)  # noqa: E731
+
+    def expected(H, cosets):
+        return sorted({min(c, key=first) for c in cosets}, key=first)
+
+    for H in subs:
+        for K in (K for K in subs if K <= H):
+            assert G.left_coset_reps(H, K) == expected(
+                H, [{G.mul(h, k) for k in K} for h in H])
+            assert G.right_coset_reps(K, H) == expected(
+                H, [{G.mul(k, h) for k in K} for h in H])
+            for L in (L for L in subs if L <= H):
+                assert G.double_coset_reps(L, H, K) == expected(
+                    H, [{G.mul(G.mul(l, h), k) for l in L for k in K}
+                        for h in H])

@@ -1,0 +1,68 @@
+"""The package imports its own modules at module level only, without cycles."""
+import ast
+from pathlib import Path
+
+import windex
+
+SRC = Path(windex.__file__).resolve().parent
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def _local_imports(tree):
+    """Modules named by the module-level `from .x import` and `from . import
+    x` statements of a module."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def _cycle(edges):
+    """A list of modules forming an import cycle, or None."""
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(edges.get(name, ())):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state:
+                found = visit(dep, path + [dep])
+                if found:
+                    return found
+        state[name] = "done"
+        return None
+
+    for name in sorted(edges):
+        if name not in state:
+            found = visit(name, [name])
+            if found:
+                return found
+    return None
+
+
+def test_imports_are_module_level_and_acyclic():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert "fibrations" in trees and "enumeration" in trees
+    inside = [f"{name}.py:{node.lineno}"
+              for name, tree in trees.items()
+              for fn in _functions(tree)
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == [], f"imports inside functions: {inside}"
+    edges = {name: _local_imports(tree) for name, tree in trees.items()}
+    assert _cycle(edges) is None, f"import cycle: {' -> '.join(_cycle(edges))}"
+
+
+def test_cycle_finder_sees_cycles():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None

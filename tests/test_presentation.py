@@ -168,3 +168,26 @@ def test_vsets_up_to_counts():
     # over C_4 with at most 4 points: 0, *, 2*, 3*, 4*, [C_2], [C_2]+*,
     #   [C_2]+2*, 2[C_2], [e]
     assert len(list(P.vsets_up_to("C_4", 4))) == 10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: chain_group(3, 2),
+    lambda: finite_group(s3_table(), name="S3"), diamond_lattice,
+], ids=["C4", "C9", "S3", "diamond"])
+def test_fixed_points_are_the_terminal_multiplicity_of_the_restriction(make):
+    P = make()
+    for V in P.orbit_classes:
+        for w in P.slice_keys(V):
+            star = P.star_key(P.slice_cls(V, w))
+            for S in P.vsets_up_to(V, 6):
+                assert P.fixed_points(V, w, S.orbits) == \
+                    P.restrict(w, S).mult(star), (V, w, S)
+
+
+def test_fixed_points_need_table_entries():
+    P = chain_group(2, 2)
+    assert P.fixed_points("C_4", "C_2", ()) == 0
+    with pytest.raises(NoSuchMap):
+        P.fixed_points("C_2", "C_4", ())
+    with pytest.raises(NoSuchMap):
+        P.fixed_points("C_2", "e", [("C_4", 1)])

@@ -55,6 +55,29 @@ def test_system_document_shape_checked(C2):
             system_from_obj(broken)
 
 
+def test_document_shapes_checked(C4):
+    R = TransferSystem(C4, [("e", "C_2")])
+    system = system_to_obj(f_zero(C4))
+    generated = system_to_obj(WeakIndexingSystem.from_generators(
+        C4, [C4.star_vset("e")]))
+    sieve = sieve_to_obj(Sieve(R, frozenset(["C_2"]), frozenset()))
+    for load_obj, broken in (
+        (system_from_obj, {**system, "levels": [1]}),
+        (system_from_obj, {**system, "levels": {"e": 5}}),
+        (system_from_obj, {**generated, "generators": 5}),
+        (system_from_obj, {**generated, "bound": "8"}),
+        (transfer_from_obj, {**transfer_to_obj(R), "pairs": [1, 2]}),
+        (transfer_from_obj, {**transfer_to_obj(R), "pairs": [["e", "C_2", "C_4"]]}),
+        (family_from_obj, {**family_to_obj(C4, ["e"]), "members": "e"}),
+        (family_from_obj, {**family_to_obj(C4, ["e"]), "members": [["e"]]}),
+        (sieve_from_obj, {**sieve, "scope": 3}),
+        (sieve_from_obj, {**sieve, "pairs": [["e"]]}),
+        (rep_from_obj, {**rep_to_obj(named_rep(C4, "lambda_cp")), "fixed_dims": [2]}),
+    ):
+        with pytest.raises(SerializationError):
+            load_obj(broken)
+
+
 def test_transfer_round_trip(C4):
     R = TransferSystem(C4, [("e", "C_2"), ("e", "C_4")])
     assert transfer_from_obj(transfer_to_obj(R)) == R

@@ -100,7 +100,7 @@ def _closure_violation(P, pairs):
                     return comp
         for w in P.slice_keys(V):
             W = P.slice_cls(V, w)
-            for piece, _ in P.restrict_orbit(V, w, u).orbits:
+            for piece in P.restriction_keys(V, w, u):
                 if (piece, W) not in pairs:
                     return (piece, W)
     return None

@@ -55,9 +55,6 @@ class ConcreteGSet:
                 if any(p12[x] != p1[p2[x]] for x in range(self.n)):
                     raise ValueError(f"action is not compatible with {h1}*{h2}")
 
-    def apply(self, h, x):
-        return self.action[h][x]
-
     def orbits(self):
         seen = [False] * self.n
         out = []

@@ -90,10 +90,6 @@ class VSet:
     def support(self):
         return tuple(k for k, _ in self.orbits)
 
-    @property
-    def is_empty(self):
-        return not self.orbits
-
     def size(self):
         """Number of orbits, counted with multiplicity."""
         return sum(m for _, m in self.orbits)
@@ -121,13 +117,6 @@ class VSet:
         if not self.orbits:
             return f"0@{self.over}"
         return " + ".join(f"{m}*[{k}]" if m > 1 else f"[{k}]" for k, m in self.orbits) + f"@{self.over}"
-
-
-def sset_leq(S, T):
-    """Summand inclusion: is S a sub-multiset of T?"""
-    if S.over != T.over:
-        raise MismatchedIndex(f"comparing V-sets over {S.over} and {T.over}")
-    return all(T.mult(k) >= m for k, m in S.orbits)
 
 
 def sub_multisets(S):
@@ -238,6 +227,13 @@ class OrbitalPresentation:
         except KeyError:
             raise NoSuchMap(f"no restriction entry ({V!r}, {w!r}, {u!r})") from None
         return VSet(self._cls[(V, w)], pairs)
+
+    def restriction_keys(self, V, w, u):
+        """The orbit keys of `restrict_orbit(V, w, u)`, without building it."""
+        try:
+            return tuple(k for k, _ in self._res[(V, w, u)])
+        except KeyError:
+            raise NoSuchMap(f"no restriction entry ({V!r}, {w!r}, {u!r})") from None
 
     def restrict(self, w, S):
         """Restrict the V-set S along the map-class w over V = S.over."""

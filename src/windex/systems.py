@@ -117,33 +117,36 @@ def _coproducts(P, S, levels, bound):
     V = S.over
     per_key = []
     for k, m in S.orbits:
-        pool = sorted(levels[P.slice_cls(V, k)])
+        weight = P.slice_points(V, k)
+        # (points the component adds, component), cheapest first
+        pool = sorted((weight * P.points(T), T)
+                      for T in levels[P.slice_cls(V, k)])
         if not pool:
             return
-        per_key.append((k, m, P.slice_points(V, k), pool))
+        per_key.append((k, m, pool))
 
     def walk(i, acc, budget):
         if i == len(per_key):
             yield acc
             return
-        k, m, weight, pool = per_key[i]
+        k, m, pool = per_key[i]
 
         def choose(count, start, acc2, budget2):
             if count == 0:
                 yield from walk(i + 1, acc2, budget2)
                 return
             for j in range(start, len(pool)):
-                cost = weight * P.points(pool[j])
-                if cost <= budget2:
-                    yield from choose(count - 1, j,
-                                      acc2 + P.induct_vset(V, k, pool[j]),
-                                      budget2 - cost)
+                cost, T = pool[j]
+                if cost > budget2:
+                    break
+                yield from choose(count - 1, j, acc2 + P.induct_vset(V, k, T),
+                                  budget2 - cost)
         yield from choose(m, 0, acc, budget)
 
     yield from walk(0, P.empty_vset(V), bound)
 
 
-def saturate(P, gens, bound, escape=None):
+def saturate(P, gens, bound, escape=None, *, sparse_indexed=False):
     """Close the generators under restriction, units, and self-indexed
     coproducts, keeping every member of at most `bound` points.
 
@@ -154,6 +157,12 @@ def saturate(P, gens, bound, escape=None):
     `escape`, if given, is called on each newly found member; a true return
     aborts the whole saturation with result None (used to reject enumeration
     candidates as soon as a stray sparse member shows up).
+
+    With `sparse_indexed`, only sparse members index coproducts; every member
+    is still a component, and a non-sparse member brings in its sparse
+    reduced set and pieces (`sparse_decompose`).  That is exact for almost
+    essentially unital generators only; `sparse_closure` checks them and is
+    the caller to use.
     """
     levels = {V: set() for V in P.orbit_classes}
     pending = deque()
@@ -168,10 +177,14 @@ def saturate(P, gens, bound, escape=None):
         if escape is not None and escape(S):
             raise _Escaped
         levels[S.over].add(S)
-        pending.append(S)
-        dirty.add(S)
+        indexes = not sparse_indexed or is_sparse(P, S)
+        pending.append((S, indexes))
         for T in by_component_class[S.over]:
             dirty.add(T)
+        if indexes:
+            dirty.add(S)
+            for k, _ in S.orbits:
+                by_component_class[P.slice_cls(S.over, k)].add(S)
 
     try:
         for g in gens:
@@ -181,13 +194,16 @@ def saturate(P, gens, bound, escape=None):
             add(g)
         while pending or dirty:
             while pending:
-                S = pending.popleft()
+                S, indexes = pending.popleft()
                 V = S.over
                 add(P.star_vset(V))
                 for w in P.slice_keys(V):
                     add(P.restrict(w, S))
-                for k, _ in S.orbits:
-                    by_component_class[P.slice_cls(V, k)].add(S)
+                if not indexes:
+                    d = sparse_decompose(P, S)
+                    add(d.reduced)
+                    for piece in d.pieces:
+                        add(piece)
             batch, dirty = dirty, set()
             for S in sorted(batch):
                 for result in _coproducts(P, S, levels, bound):
@@ -290,20 +306,61 @@ def sparse_member(P, levels, S):
     reduced set (`sparse_decompose`), and belongs exactly when that set and
     every piece do; this holds whenever the system is almost essentially
     unital, which is what makes the sparse levels a faithful description.
+
+    n copies of the point (n >= 3; fewer are sparse) decompose over the double
+    point into the point and n - 1 copies, so they belong exactly when the
+    double point and the point do; that is decided at once, not n levels deep.
     """
     if is_sparse(P, S):
         return S in levels[S.over]
+    V = S.over
+    star = P.star_key(V)
+    if S.orbits[0][0] == star and len(S.orbits) == 1:
+        return (P.vset(V, [(star, 2)]) in levels[V]
+                and P.star_vset(V) in levels[V])
     d = sparse_decompose(P, S)
-    return (d.reduced in levels[S.over]
+    return (d.reduced in levels[V]
             and all(sparse_member(P, levels, piece) for piece in d.pieces))
 
 
-def sparse_closure(P, gens):
-    """The sparse members of the system generated by the sparse `gens`.
+def sparse_closure(P, gens, escape=None):
+    """The sparse members of the system generated by the sparse `gens`, or
+    None if `escape` (as in `saturate`) fires on a member.
+
+    The generators must be almost essentially unital: their eps family (the
+    classes under one with a member other than the point) must equal their
+    unit family; NotClosed is raised otherwise.  Then only sparse members
+    need to index coproducts:
+
+    1. The generated system has the same eps and unit families.  A new member
+       is the point, a restriction (which stays under its source's class), or
+       a coproduct, which is its component when indexed by the point and else
+       lies at a class where the index is a member other than the point.  So
+       eps does not grow; and unit lies inside eps, and contains the
+       generators' unit, so it equals eps throughout.
+    2. In such a system the sparse reduced set and the pieces of a member S
+       (`sparse_decompose`) are members: the reduced set is a coproduct over
+       S with points and empty sets as components (the empty sets are there
+       because unit = eps), and each piece is a summand of a restriction of
+       S.  The closure adds them with every member that is not sparse.  A
+       coproduct over S is one over the reduced set whose components are
+       coproducts over the pieces, so by induction along the decomposition
+       (the recursion `sparse_member` runs) every coproduct is reached by
+       coproducts indexed by sparse members.
 
     Saturating up to `sparse_bound` points (at least 2: the double point is
     sparse) decides every sparse V-set, since derivations flatten."""
-    return sparse_part(P, saturate(P, gens, sparse_bound(P)))
+    gens = list(gens)
+    by_level = {V: set() for V in P.orbit_classes}
+    for S in gens:
+        by_level[S.over].add(S)
+    fam = families_of_levels(P, by_level)
+    if fam["eps"] != fam["unit"]:
+        raise NotClosed(
+            "the generators are not almost essentially unital (eps "
+            f"{sorted(fam['eps'])} vs unit {sorted(fam['unit'])})")
+    closed = saturate(P, gens, sparse_bound(P), escape, sparse_indexed=True)
+    return None if closed is None else sparse_part(P, closed)
 
 
 def families_of_levels(P, levels):
@@ -393,6 +450,7 @@ class WeakIndexingSystem:
                         raise NotClosed(f"{S} filed under level {V!r}", witness=S)
                     if not is_sparse(P, S):
                         raise NotClosed(f"{S} is not sparse", witness=S)
+            # refuses data that is not almost essentially unital first
             got = sparse_closure(P, [S for mem in full.values() for S in mem])
             for V in P.orbit_classes:
                 extra = got[V] - full[V]
@@ -400,12 +458,6 @@ class WeakIndexingSystem:
                     raise NotClosed(
                         f"sparse data is not closed: level {V!r} also "
                         f"generates {sorted(extra)[0]}", witness=sorted(extra)[0])
-            fam = families_of_levels(P, full)
-            if fam["eps"] != fam["unit"]:
-                raise NotClosed(
-                    "sparse data generates a system that is not almost "
-                    f"essentially unital (eps {sorted(fam['eps'])} vs unit "
-                    f"{sorted(fam['unit'])})", witness=None)
         return cls(P, sparse_levels=full, label=label)
 
     @classmethod

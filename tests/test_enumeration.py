@@ -120,3 +120,9 @@ def test_fiberwise_covers_unital_classes_only(C2):
 def test_height_three_brute_equals_fiberwise(C8):
     assert set(enumerate_systems(C8, "unital")) == \
         set(enumerate_systems_fiberwise(C8))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_height_two_ae_unital_count(p):
+    # the same count for every prime; C_25 was out of reach of full indexing
+    assert len(enumerate_systems(chain_group(p, 2), "aE_unital")) == 43

@@ -191,3 +191,24 @@ def test_fixed_points_need_table_entries():
         P.fixed_points("C_2", "C_4", ())
     with pytest.raises(NoSuchMap):
         P.fixed_points("C_2", "e", [("C_4", 1)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: finite_group(s3_table(), name="S3"),
+    diamond_lattice,
+], ids=["C4", "S3", "diamond"])
+def test_restriction_keys_are_the_orbits_of_the_restriction(make):
+    P = make()
+    for V in P.orbit_classes:
+        for w in P.slice_keys(V):
+            for u in P.slice_keys(V):
+                assert P.restriction_keys(V, w, u) == \
+                    P.restrict_orbit(V, w, u).support, (V, w, u)
+
+
+def test_restriction_keys_need_table_entries():
+    P = chain_group(2, 2)
+    with pytest.raises(NoSuchMap):
+        P.restriction_keys("C_2", "C_4", "e")
+    with pytest.raises(NoSuchMap):
+        P.restriction_keys("C_4", "nope", "e")

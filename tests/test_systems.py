@@ -1,5 +1,6 @@
 """Closure, membership, sparse forms, and the named systems."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,19 @@ from hypothesis import strategies as st
 from windex import (
     BoundTooSmall, INDETERMINATE, MixedPresentation, NO, NotClosed,
     UnsupportedBackend, WeakIndexingSystem, YES, bor_system, chain_group,
-    classify, closure_bound, coinduce_wis, e_system, f_complete, f_infinity,
-    f_perp_nu, f_trivial, f_zero, finite_group, indexed_coproduct,
-    is_sparse, join, leq, meet, member, multiplicative_hull, saturate,
-    slice_restrict_wis, sparse_bound, sparse_decompose, sparse_extract,
-    sparse_generate, sparse_part, sparse_universe, validate_wic,
+    classify, closure_bound, coinduce_wis, cyclic_group, e_system,
+    f_complete, f_infinity, f_perp_nu, f_trivial, f_zero, finite_group,
+    indexed_coproduct, is_sparse, join, leq, meet, member,
+    multiplicative_hull, saturate, slice_restrict_wis, sparse_bound,
+    sparse_decompose, sparse_extract, sparse_generate, sparse_part,
+    sparse_universe, validate_wic,
 )
-from windex.enumeration import enumerate_systems
+from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.presentation import VSet
 from windex.serialize import system_from_obj, system_to_obj
+from windex.systems import families_of_levels, sparse_closure
 
-from helpers import naive_closure, s3_table
+from helpers import diamond_semilattice, naive_closure, s3_table
 
 
 S3 = finite_group(s3_table(), name="S3")
@@ -134,6 +137,84 @@ def test_sparse_membership_matches_saturation(P, which):
         for V in P.orbit_classes:
             for S in P.vsets_up_to(V, bound):
                 assert (W.member(S) == YES) == (S in sat[V]), (W, S)
+
+
+# -- the almost essentially unital path against full indexing -------------------
+
+
+def _assert_sparse_closure_matches_saturate(P, levels):
+    """`sparse_closure` of the members in `levels` has the sparse part of their
+    full saturation, and its escape on a stray sparse member fires exactly
+    when that saturation holds one (which is when saturating with the same
+    escape would fire)."""
+    gens = [S for mem in levels.values() for S in mem]
+    full = sparse_part(P, saturate(P, gens, sparse_bound(P)))
+    assert sparse_closure(P, gens) == full, levels
+    escaped = sparse_closure(
+        P, gens, escape=lambda S: is_sparse(P, S) and S not in levels[S.over])
+    assert (escaped is None) == any(full[V] - levels[V] for V in full), levels
+
+
+def _one_more_member(P, W):
+    """W's sparse levels with one more sparse set added, where that keeps
+    them almost essentially unital: mostly not closed."""
+    for V in P.orbit_classes:
+        for S in sparse_universe(P, V):
+            if S not in W.sparse_levels[V]:
+                levels = dict(W.sparse_levels)
+                levels[V] = levels[V] | {S}
+                fam = families_of_levels(P, levels)
+                if fam["eps"] == fam["unit"]:
+                    yield levels
+
+
+def test_sparse_closure_matches_saturate_near_c4_systems(C4):
+    for W in enumerate_systems(C4, "aE_unital"):
+        _assert_sparse_closure_matches_saturate(C4, W.sparse_levels)
+        for levels in _one_more_member(C4, W):
+            _assert_sparse_closure_matches_saturate(C4, levels)
+
+
+@pytest.mark.parametrize("make, enumerate_them", [
+    (lambda: chain_group(3, 2), lambda P: enumerate_systems(P, "aE_unital")),
+    (lambda: finite_group(s3_table(), name="S3"),
+     lambda P: enumerate_systems(P, "unital")),
+    (diamond_semilattice, lambda P: enumerate_systems(P, "unital")),
+    pytest.param(lambda: chain_group(2, 3), enumerate_systems_fiberwise,
+                 marks=pytest.mark.slow),
+], ids=["C9", "S3", "diamond", "C8"])
+def test_sparse_closure_matches_saturate_on_enumerated_systems(
+        make, enumerate_them):
+    P = make()
+    for W in enumerate_them(P):
+        _assert_sparse_closure_matches_saturate(P, W.sparse_levels)
+
+
+@pytest.mark.slow
+def test_sparse_closure_matches_saturate_on_c8_joins(C8):
+    systems = enumerate_systems_fiberwise(C8)
+    rng = random.Random(8)
+    for _ in range(40):
+        W1, W2 = rng.sample(systems, 2)
+        union = {V: W1.sparse_levels[V] | W2.sparse_levels[V]
+                 for V in C8.orbit_classes}
+        _assert_sparse_closure_matches_saturate(C8, union)
+        assert join(W1, W2).sparse_levels == sparse_closure(
+            C8, [S for mem in union.values() for S in mem])
+
+
+@pytest.mark.parametrize("P_name", ["C2", "C4", "C9"])
+def test_sparse_closure_refuses_generators_that_are_not_ae(P_name, request):
+    P = request.getfixturevalue(P_name)
+    top = P.orbit_classes[-1]
+    # the point beside a free orbit: nontrivial at every class, no units
+    # anywhere; indexing by sparse members alone misses members here
+    gens = [P.star_vset(top) + P.orbit_vset(top, "e")]
+    assert sparse_part(P, saturate(P, gens, 10, sparse_indexed=True)) != \
+        sparse_part(P, saturate(P, gens, 10))
+    for bad in (gens, [P.vset("e", [(P.star_key("e"), 2)])]):
+        with pytest.raises(NotClosed):
+            sparse_closure(P, bad)
 
 
 def test_saturate_matches_naive_on_s3():
@@ -475,6 +556,22 @@ def test_coinduce_is_right_adjoint(C2):
 
 def test_hull_of_units_is_complete(C2):
     assert multiplicative_hull(f_zero(C2)) == f_complete(C2)
+
+
+def test_member_of_many_copies_of_the_point(C8):
+    # decided from the double point and the point, not 5000 levels deep
+    S = C8.star_vset("C_8").scale(5000)
+    assert f_complete(C8).member(S) == YES
+    assert f_zero(C8).member(S) == NO
+
+
+@pytest.mark.slow
+def test_hull_of_complete_system_over_tabular_c8():
+    # its indexed products hold hundreds of copies of the point
+    P = cyclic_group(2, 3)
+    hull = multiplicative_hull(f_complete(P))
+    assert hull == f_complete(P)
+    assert classify(hull)["indexing"]
 
 
 def test_hull_is_enlarging_and_idempotent(C2):

@@ -66,7 +66,7 @@ def _write_or_print(text, out):
 
 
 def _load_system(path):
-    return serialize.system_from_obj(serialize.load(path))
+    return serialize.system_from_obj(serialize.load(path), validate=True)
 
 
 def cmd_enumerate(args):
@@ -98,11 +98,8 @@ def cmd_enumerate(args):
 
 
 def cmd_validate(args):
-    W = _load_system(args.system)
     try:
-        if W.form == "sparse":
-            W = W.__class__.from_sparse(W.P, W.sparse_levels, validate=True,
-                                        label=W.label)
+        W = _load_system(args.system)
     except NotClosed as exc:
         print(f"not closed: {exc}")
         return 1

@@ -191,18 +191,15 @@ def _label_library(P):
             W = fold_left(P, fam)
             W.label = f"F^0+fold[{','.join(sorted(fam))}]"
             lib.append(W)
-    try:
-        for R in enumerate_transfer_systems(P):
-            if R.strict():
-                tag = ",".join(f"{u}<{V}" for u, V in sorted(R.strict()))
-                W = minimal_unital(R)
-                W.label = f"F_min[{tag}]"
-                lib.append(W)
-                W = transfer_to_indexing(R)
-                W.label = f"F_max[{tag}]"
-                lib.append(W)
-    except TooLarge:
-        pass
+    for R in enumerate_transfer_systems(P):
+        if R.strict():
+            tag = ",".join(f"{u}<{V}" for u, V in sorted(R.strict()))
+            W = minimal_unital(R)
+            W.label = f"F_min[{tag}]"
+            lib.append(W)
+            W = transfer_to_indexing(R)
+            W.label = f"F_max[{tag}]"
+            lib.append(W)
     return lib
 
 

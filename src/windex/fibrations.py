@@ -9,9 +9,6 @@ resulting maps.
 """
 from __future__ import annotations
 
-import itertools
-
-from .presentation import TooLarge
 from .systems import (
     NO, YES, WeakIndexingSystem, classify, downward_closure, f_complete,
     f_trivial, f_zero, join, sparse_closure, sparse_universe,
@@ -34,15 +31,31 @@ def is_family(P, classes):
     return all(V in P._slices for V in fam) and downward_closure(P, fam) == fam
 
 
+def closed_sets(items, close):
+    """The sets of `items` fixed by the closure operator `close`, ordered by
+    size, then by the positions of their items in `items`.
+
+    The walk starts from close({}) and steps from each closed set C to
+    close(C + {x}) for every x outside C.  That reaches every closed set D
+    above C, because close(C + {x}) lies inside D for any x in D outside C.
+    """
+    pos = {x: i for i, x in enumerate(items)}
+    start = frozenset(close(frozenset()))
+    seen, todo = {start}, [start]
+    while todo:
+        C = todo.pop()
+        for x in items:
+            if x not in C:
+                D = frozenset(close(C | {x}))
+                if D not in seen:
+                    seen.add(D)
+                    todo.append(D)
+    return sorted(seen, key=lambda C: (len(C), sorted(pos[x] for x in C)))
+
+
 def enumerate_families(P):
     """All families, ordered by size then lexicographically."""
-    out = []
-    classes = P.orbit_classes
-    for r in range(len(classes) + 1):
-        for combo in itertools.combinations(classes, r):
-            if is_family(P, combo):
-                out.append(frozenset(combo))
-    return out
+    return closed_sets(P.orbit_classes, lambda C: downward_closure(P, C))
 
 
 # -- transfer systems ----------------------------------------------------------
@@ -119,19 +132,12 @@ def transfer_closure(P, pairs):
 
 
 def enumerate_transfer_systems(P):
-    """All transfer systems, by brute force over sets of non-identity orbits."""
+    """All transfer systems, smallest first: the closed sets of
+    `transfer_closure` on the non-identity orbits."""
     strict = [(u, V) for V in P.orbit_classes
               for u in P.slice_keys(V) if u != P.star_key(V)]
-    if len(strict) > 20:
-        raise TooLarge(f"{len(strict)} candidate orbits is too many to enumerate")
-    identities = {(P.star_key(V), V) for V in P.orbit_classes}
-    out = []
-    for r in range(len(strict) + 1):
-        for combo in itertools.combinations(strict, r):
-            pairs = identities | set(combo)
-            if _closure_violation(P, pairs) is None:
-                out.append(TransferSystem(P, pairs, check=False))
-    return out
+    return [TransferSystem(P, C, check=False) for C in
+            closed_sets(strict, lambda C: transfer_closure(P, C).strict())]
 
 
 # -- between systems and transfer data -------------------------------------
@@ -260,6 +266,9 @@ def fold_right(P, family):
 # -- cocartesian transport ---------------------------------------------------
 
 
+_FAMILY_LEFT_ADJOINTS = {"color": f_trivial, "unit": f_zero, "fold": fold_left}
+
+
 def cocartesian_transport(map_name, W, target):
     """Push a system forward so that the named invariant becomes `target`.
 
@@ -269,21 +278,12 @@ def cocartesian_transport(map_name, W, target):
     """
     P = W.P
     fam = W.families()
-    if map_name == "color":
+    if map_name in _FAMILY_LEFT_ADJOINTS:
         goal = frozenset(target)
-        if not fam["color"] <= goal:
-            raise TargetNotAbove(f"color family {sorted(fam['color'])} exceeds target")
-        return join(W, f_trivial(P, goal))
-    if map_name == "unit":
-        goal = frozenset(target)
-        if not fam["unit"] <= goal:
-            raise TargetNotAbove(f"unit family {sorted(fam['unit'])} exceeds target")
-        return join(W, f_zero(P, goal))
-    if map_name == "fold":
-        goal = frozenset(target)
-        if not fam["fold"] <= goal:
-            raise TargetNotAbove(f"fold family {sorted(fam['fold'])} exceeds target")
-        return join(W, fold_left(P, goal))
+        if not fam[map_name] <= goal:
+            raise TargetNotAbove(
+                f"{map_name} family {sorted(fam[map_name])} exceeds target")
+        return join(W, _FAMILY_LEFT_ADJOINTS[map_name](P, goal))
     if map_name == "transfer":
         if not transfer_of(W) <= target:
             raise TargetNotAbove("transfer system of W exceeds target")

@@ -8,12 +8,12 @@ Only chain-shaped presentations are supported.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .presentation import require_chain
 from .fibrations import (
-    TransferSystem, transfer_codomain, transfer_domain, transfer_of,
+    TransferSystem, closed_sets, transfer_codomain, transfer_domain,
+    transfer_of,
 )
 from .systems import YES, WeakIndexingSystem, classify
 
@@ -25,20 +25,28 @@ class NotAdmissible(ValueError):
 _CHAINS_ONLY = "sieves are only defined"
 
 
-def is_sieve(P, R, scope, pairs):
-    """Check the two closure conditions for a sieve of R on the given scope."""
+def _sieve_closure(P, R, scope, pairs):
+    """The smallest set of pairs containing `pairs` that meets both sieve
+    conditions: with (K, H) it holds (K, L) for every L of the scope
+    strictly between K and H, and (J, H) for every admissible (J, K)."""
     idx = P.orbit_index
     strict = R.strict()
-    for K, H in pairs:
-        if (K, H) not in strict or H not in scope:
-            return False
-        for L in scope:
-            if idx(K) < idx(L) < idx(H) and (K, L) not in pairs:
-                return False
-        for J, K2 in strict:
-            if K2 == K and (J, H) not in pairs:
-                return False
-    return True
+    out, todo = set(pairs), list(pairs)
+    while todo:
+        K, H = todo.pop()
+        new = {(K, L) for L in scope if idx(K) < idx(L) < idx(H)}
+        new |= {(J, H) for J, K2 in strict if K2 == K}
+        todo.extend(new - out)
+        out |= new
+    return frozenset(out)
+
+
+def is_sieve(P, R, scope, pairs):
+    """Whether the pairs are admissible orbits into the scope that meet both
+    sieve conditions."""
+    pairs = frozenset(pairs)
+    return (pairs <= {(K, H) for K, H in R.strict() if H in scope}
+            and _sieve_closure(P, R, scope, pairs) == pairs)
 
 
 @dataclass(frozen=True)
@@ -55,17 +63,14 @@ class Sieve:
 
 
 def enumerate_sieves(R, family):
-    """All sieves of R on the scope left uncovered by the family."""
+    """All sieves of R on the scope left uncovered by the family, smallest
+    first: the closed sets of the sieve conditions."""
     P = R.P
     require_chain(P, _CHAINS_ONLY)
     scope = transfer_codomain(R) - frozenset(family)
     available = sorted((K, H) for K, H in R.strict() if H in scope)
-    out = []
-    for r in range(len(available) + 1):
-        for combo in itertools.combinations(available, r):
-            if is_sieve(P, R, scope, frozenset(combo)):
-                out.append(Sieve(R, scope, frozenset(combo)))
-    return out
+    return [Sieve(R, scope, C) for C in closed_sets(
+        available, lambda C: _sieve_closure(P, R, scope, C))]
 
 
 def sieve_of(W):
@@ -128,9 +133,6 @@ def fiber_systems(R, family):
     fam = frozenset(family)
     if not transfer_domain(R) <= fam:
         return []
-    if transfer_codomain(R) <= fam:
-        empty = Sieve(R, frozenset(), frozenset())
-        return [fiber_from_sieve(R, fam, empty)]
     return [fiber_from_sieve(R, fam, s) for s in enumerate_sieves(R, fam)]
 
 

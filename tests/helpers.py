@@ -7,6 +7,9 @@ restrictions follow the double-coset counting formula directly.
 """
 import itertools
 
+from windex.fibrations import (
+    TransferSystem, _closure_violation, is_family, transfer_codomain,
+)
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import f_zero, join
 
@@ -80,6 +83,56 @@ def extensional_fold_right(P, family, unital):
         if Y.families()["fold"] <= fam:
             acc = join(acc, Y)
     return acc
+
+
+def subsets(items):
+    """Every subset of `items`, by size, then lexicographically by position."""
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
+def scanned_families(P):
+    """The families of P, by testing every set of orbit classes."""
+    return [frozenset(c) for c in subsets(P.orbit_classes) if is_family(P, c)]
+
+
+def scanned_transfer_systems(P):
+    """The transfer systems of P, by testing every set of non-identity
+    orbits for closure under composition and base change."""
+    strict = [(u, V) for V in P.orbit_classes
+              for u in P.slice_keys(V) if u != P.star_key(V)]
+    identities = {(P.star_key(V), V) for V in P.orbit_classes}
+    return [TransferSystem(P, identities | set(c), check=False)
+            for c in subsets(strict)
+            if _closure_violation(P, identities | set(c)) is None]
+
+
+def sieve_conditions(P, R, scope, pairs):
+    """The definition of a sieve of R on the scope, checked pair by pair:
+    each (K, H) is admissible with H in the scope, brings (K, L) for every L
+    of the scope strictly between K and H, and (J, H) for every admissible
+    (J, K)."""
+    idx = P.orbit_index
+    strict = R.strict()
+    for K, H in pairs:
+        if (K, H) not in strict or H not in scope:
+            return False
+        for L in scope:
+            if idx(K) < idx(L) < idx(H) and (K, L) not in pairs:
+                return False
+        for J, K2 in strict:
+            if K2 == K and (J, H) not in pairs:
+                return False
+    return True
+
+
+def scanned_sieves(R, family):
+    """The pair sets of the sieves of R on the scope the family leaves, by
+    testing every set of admissible orbits into the scope."""
+    scope = transfer_codomain(R) - frozenset(family)
+    available = sorted((K, H) for K, H in R.strict() if H in scope)
+    return [frozenset(c) for c in subsets(available)
+            if sieve_conditions(R.P, R, scope, frozenset(c))]
 
 
 def s3_table():

@@ -249,6 +249,35 @@ def test_malformed_documents_are_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
+MALFORMED_C4 = {
+    # (level the V-set is filed under, the V-set)
+    "not-sparse": ("e", {"over": "e", "orbits": [["e", 3]]}),
+    "wrong-level": ("C_2", {"over": "e", "orbits": [["e", 2]]}),
+    "not-closed": ("C_4", {"over": "C_4", "orbits": [["e", 1]]}),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "join", "hull", "transport"])
+@pytest.mark.parametrize("shape", MALFORMED_C4)
+def test_sparse_documents_are_checked_on_load(tmp_path, capsys, shape, command):
+    obj = system_to_obj(f_zero(C4))
+    level, vset = MALFORMED_C4[shape]
+    obj["levels"][level].append(vset)
+    bad = _write(tmp_path, "bad.json", obj)
+    good = _write(tmp_path, "good.json", system_to_obj(f_zero(C4)))
+    fam = _write(tmp_path, "fam.json", family_to_obj(C4, C4.orbit_classes))
+    argv = {"validate": ["validate", bad], "join": ["join", good, bad],
+            "hull": ["hull", bad],
+            "transport": ["transport", "--map", "fold", "--to", fam, bad]}
+    assert main(argv[command]) == 1
+    out = capsys.readouterr()
+    if command == "validate":
+        assert out.out.startswith("not closed: ")
+    else:
+        assert out.out == ""
+        assert out.err.startswith("validation failure: ")
+
+
 def test_internal_faults_are_not_passed_off_as_bad_input(tmp_path, monkeypatch):
     w = _write(tmp_path, "w.json", system_to_obj(f_zero(C2)))
 

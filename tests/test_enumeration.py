@@ -116,6 +116,11 @@ def test_fiberwise_covers_unital_classes_only(C2):
         enumerate_systems_fiberwise(C2, "aE_unital")
 
 
+def test_fiberwise_height_four_count_is_prime_independent():
+    assert len(enumerate_systems_fiberwise(chain_group(2, 4))) == 310
+    assert len(enumerate_systems_fiberwise(chain_group(3, 4))) == 310
+
+
 @pytest.mark.slow
 def test_height_three_brute_equals_fiberwise(C8):
     assert set(enumerate_systems(C8, "unital")) == \

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from windex import (
-    NO, NotUnital, TargetNotAbove, TooLarge, TransferSystem, WeakIndexingSystem,
+    NO, NotUnital, TargetNotAbove, TransferSystem, WeakIndexingSystem,
     YES, chain_group, classify, cocartesian_transport, cyclic_group,
     enumerate_families, enumerate_systems_fiberwise,
     enumerate_transfer_systems, f_complete, f_trivial, f_zero, finite_group,
@@ -14,7 +14,27 @@ from windex import (
 )
 from windex.enumeration import enumerate_systems
 
-from helpers import diamond_semilattice, extensional_fold_right, s3_table
+from helpers import (
+    diamond_semilattice, extensional_fold_right, s3_table, scanned_families,
+    scanned_transfer_systems,
+)
+
+
+PRESENTATIONS = {
+    "C4": lambda: chain_group(2, 2), "C9": lambda: chain_group(3, 2),
+    "C8": lambda: chain_group(2, 3), "C16": lambda: chain_group(2, 4),
+    "C32": lambda: chain_group(2, 5), "C27": lambda: chain_group(3, 3),
+    "S3": lambda: finite_group(s3_table(), name="S3"),
+    "diamond": diamond_semilattice, "C8-table": lambda: cyclic_group(2, 3),
+    "point": trivial_point, "BG2": lambda: one_object_groupoid(2),
+}
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_closed_set_enumerations_equal_subset_scans(name):
+    P = PRESENTATIONS[name]()
+    assert enumerate_families(P) == scanned_families(P)
+    assert enumerate_transfer_systems(P) == scanned_transfer_systems(P)
 
 
 # -- families ------------------------------------------------------------------
@@ -56,9 +76,11 @@ def test_point_and_groupoid_have_one_transfer_system(PT, BG):
     assert len(enumerate_transfer_systems(BG)) == 1
 
 
-def test_transfer_enumeration_cap():
-    with pytest.raises(TooLarge):
-        enumerate_transfer_systems(chain_group(2, 6))
+@pytest.mark.parametrize("p,n,count", [(2, 6, 429), (3, 4, 42)],
+                         ids=["C64", "C81"])
+def test_catalan_counts_on_long_chains(p, n, count):
+    # Balchin-Barnes-Roitzheim: C_{p^n} has Catalan(n + 1) transfer systems
+    assert len(enumerate_transfer_systems(chain_group(p, n))) == count
 
 
 def _five_transfers(C4):

@@ -5,14 +5,14 @@ import pytest
 
 from windex import (
     NotAdmissible, Sieve, TransferSystem, UnsupportedBackend, YES,
-    cocartesian_transport, enumerate_families, enumerate_sieves,
-    enumerate_transfer_systems, f_infinity, fiber_from_sieve, fiber_systems,
-    finite_group, leq, sieve_of, transfer_codomain, transfer_domain,
-    transfer_of, transport_sieve,
+    chain_group, cocartesian_transport, cyclic_group, enumerate_families,
+    enumerate_sieves, enumerate_transfer_systems, f_infinity, fiber_from_sieve,
+    fiber_systems, finite_group, is_sieve, leq, sieve_of, transfer_codomain,
+    transfer_domain, transfer_of, transport_sieve,
 )
 from windex.enumeration import enumerate_systems
 
-from helpers import s3_table
+from helpers import s3_table, scanned_sieves, sieve_conditions, subsets
 
 
 FIBER_TABLE = [
@@ -47,6 +47,30 @@ def test_sieve_conditions_enforced(C4):
     with pytest.raises(ValueError):
         Sieve(R1, scope, frozenset([("C_2", "C_4")]))
     Sieve(R4, scope, frozenset([("e", "C_2")]))  # and this one is fine
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: chain_group(3, 2),
+    lambda: chain_group(2, 3), lambda: chain_group(3, 3),
+    lambda: cyclic_group(2, 3), lambda: chain_group(2, 4),
+    lambda: chain_group(2, 5),
+], ids=["C4", "C9", "C8", "C27", "C8-table", "C16", "C32"])
+def test_sieves_equal_subset_scans(make):
+    P = make()
+    for R in enumerate_transfer_systems(P):
+        for fam in enumerate_families(P):
+            got = enumerate_sieves(R, fam)
+            assert [s.pairs for s in got] == scanned_sieves(R, fam), (R, fam)
+            assert {s.scope for s in got} == {transfer_codomain(R) - fam}
+
+
+def test_is_sieve_is_the_definition(C8):
+    # every scope, not only those a family leaves, and pairs from anywhere in R
+    for R in enumerate_transfer_systems(C8):
+        for scope in map(frozenset, subsets(C8.orbit_classes)):
+            for pairs in map(frozenset, subsets(sorted(R.strict()))):
+                assert is_sieve(C8, R, scope, pairs) == \
+                    sieve_conditions(C8, R, scope, pairs), (R, scope, pairs)
 
 
 def test_fiber_cardinalities_match_table(C4):

@@ -6,17 +6,18 @@ subsets of the sparse universes, prunes with cheap necessary closure
 conditions, and certifies each survivor by closing its members
 (`sparse_closure`) and checking that no new sparse set appears.  A fiberwise
 variant over chains assembles the same unital systems from (transfer system,
-fold family, sieve) data.
+fold family, sieve) data.  Indexing systems are built from transfer systems.
 """
 from __future__ import annotations
 
 import hashlib
 
 from .poset import Poset
-from .presentation import TooLarge
+from .presentation import TooLarge, UnsupportedBackend
 from .systems import (
     YES, NotClosed, WeakIndexingSystem, f_complete, f_infinity, f_trivial,
-    f_zero, is_sparse, leq, sparse_closure, sparse_member, sparse_universe,
+    f_zero, is_sparse, leq, sparse_closure, sparse_extract, sparse_member,
+    sparse_universe,
 )
 # Held here by name although certify reaches it through `sparse_closure`:
 # perfbench's tracer test looks up `windex.enumeration.saturate`.
@@ -94,34 +95,29 @@ def _size_then_members(W):
             tuple(sorted(str(S) for mem in levels for S in mem)))
 
 
-def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
-    """All systems of the requested class, via per-level search over sparse
-    universes with a saturation certificate for each candidate.
+def _indexing_systems(P):
+    return sorted(map(transfer_to_indexing, enumerate_transfer_systems(P)),
+                  key=_size_then_members)
 
-    Only classes with matching unit and one-extra-orbit families can be
-    enumerated through sparse data; `which` is one of aE-unital, unital,
-    almost-unital, indexing.
+
+def enumerate_systems(P, which="aE_unital"):
+    """All systems of the class `which` (aE-unital, unital, almost-unital or
+    indexing).  Indexing systems are built from transfer systems, the others
+    found by a search of at most ENUMERATION_CAP candidates (else TooLarge).
     """
     which = normalize_class(which)
-    universes = {V: sparse_universe(P, V) for V in P.orbit_classes}
-    forced = {V: set() for V in P.orbit_classes}
-    if which in ("unital", "indexing"):
-        for V in P.orbit_classes:
-            forced[V] = {P.empty_vset(V), P.star_vset(V)}
-    elif which == "almost_unital":
-        for V in P.orbit_classes:
-            forced[V] = {P.star_vset(V)}
     if which == "indexing":
-        for V in P.orbit_classes:
-            forced[V].add(P.vset(V, [(P.star_key(V), 2)]))
+        return _indexing_systems(P)
+    universes = {V: sparse_universe(P, V) for V in P.orbit_classes}
+    units = {"aE_unital": (), "unital": (P.empty_vset, P.star_vset),
+             "almost_unital": (P.star_vset,)}[which]
+    forced = {V: {unit(V) for unit in units} for V in P.orbit_classes}
 
     size = 1
     for V in P.orbit_classes:
         size *= 2 ** (len(universes[V]) - len(forced[V]))
-        if size > cap:
-            raise TooLarge(
-                f"search space exceeds {cap} candidates; "
-                "raise the cap to enumerate anyway")
+        if size > ENUMERATION_CAP:
+            raise TooLarge(f"search space exceeds {ENUMERATION_CAP} candidates")
 
     classes = list(P.orbit_classes)
     out = []
@@ -162,17 +158,16 @@ def enumerate_systems(P, which="aE_unital", cap=ENUMERATION_CAP):
 
 def enumerate_systems_fiberwise(P, which="unital"):
     """The unital systems assembled fiber by fiber over (transfer system,
-    fold family) pairs; chain presentations only."""
+    fold family) pairs, chains only; or the indexing systems."""
     which = normalize_class(which)
+    if which == "indexing":
+        return _indexing_systems(P)
+    if which != "unital":
+        raise ValueError("the fibration only covers unital systems")
     out = []
     for R in enumerate_transfer_systems(P):
         for F in enumerate_families(P):
             out.extend(fiber_systems(R, F))
-    if which == "indexing":
-        everything = frozenset(P.orbit_classes)
-        out = [W for W in out if W.families()["fold"] == everything]
-    elif which != "unital":
-        raise ValueError("the fibration only covers unital systems")
     out.sort(key=_size_then_members)
     return out
 
@@ -204,15 +199,19 @@ def _label_library(P):
 
 
 def content_hash(W):
+    sp, exact = sparse_extract(W)
+    if not exact:
+        raise UnsupportedBackend("only exact sparse systems are labelled")
     text = ";".join(
-        f"{V}:" + ",".join(sorted(str(S) for S in W.sparse_levels[V]))
+        f"{V}:" + ",".join(sorted(str(S) for S in sp.sparse_levels[V]))
         for V in W.P.orbit_classes)
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
 def system_label(W, library=None):
     """A stable display name: a named construction when the system equals
-    one, otherwise a content hash."""
+    one, otherwise a content hash (UnsupportedBackend unless the system's
+    sparse members describe it exactly)."""
     if library is None:
         library = _label_library(W.P)
     for X in library:

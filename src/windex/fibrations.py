@@ -162,15 +162,18 @@ def transfer_of(W):
 
 
 def transfer_to_indexing(R):
-    """The largest system with the given admissible orbits: sparse sets whose
-    non-terminal orbits are all admissible (right adjoint to `transfer_of`)."""
+    """The indexing system of R: the sparse sets whose non-terminal orbits
+    are admissible, the largest system with admissible orbits in R (right
+    adjoint to `transfer_of`).  It is unital with every fold (the empty set,
+    the point and 2*star have no non-terminal orbit) and its admissible
+    orbits are exactly R, so `transfer_of` inverts it.  Each indexing system
+    holds every sum of the point and its admissible orbits, so it is the
+    image of its own transfer system."""
     P = R.P
     levels = {}
-    for V in P.orbit_classes:
-        star = P.star_key(V)
-        levels[V] = frozenset(
-            S for S in sparse_universe(P, V)
-            if all(k == star or (k, V) in R for k, _ in S.orbits))
+    for V in P.orbit_classes:    # R holds the identity (star, V)
+        levels[V] = frozenset(S for S in sparse_universe(P, V)
+                              if all((k, V) in R for k, _ in S.orbits))
     return WeakIndexingSystem.from_sparse(P, levels, validate=False)
 
 

@@ -23,7 +23,6 @@ Equality and hashing go by content, whatever the backing (see
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,10 +53,7 @@ class _Escaped(Exception):
 
 
 def closure_bound(P, *vsets):
-    """Default saturation bound; WINDEX_BOUND overrides it."""
-    env = os.environ.get("WINDEX_BOUND")
-    if env is not None:
-        return int(env)
+    """Default saturation bound: twice the largest V-set, at least 8."""
     biggest = max((P.points(S) for S in vsets), default=0)
     return max(8, 2 * biggest)
 

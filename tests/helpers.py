@@ -10,6 +10,7 @@ import itertools
 from windex.fibrations import (
     TransferSystem, _closure_violation, is_family, transfer_codomain,
 )
+from windex.enumeration import enumerate_systems
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import f_zero, join
 
@@ -85,6 +86,14 @@ def extensional_fold_right(P, family, unital):
     return acc
 
 
+def searched_indexing_systems(P):
+    """The indexing systems of P, by filtering the brute-force unital list
+    (`enumerate_systems(P, "unital")`) to the fold family of every class."""
+    everything = frozenset(P.orbit_classes)
+    return [W for W in enumerate_systems(P, "unital")
+            if W.families()["fold"] == everything]
+
+
 def subsets(items):
     """Every subset of `items`, by size, then lexicographically by position."""
     for r in range(len(items) + 1):
@@ -135,15 +144,48 @@ def scanned_sieves(R, family):
             if sieve_conditions(R.P, R, scope, frozenset(c))]
 
 
-def s3_table():
-    """Multiplication table of the symmetric group on three letters, from
-    explicit permutations (row acts first)."""
-    perms = list(itertools.permutations(range(3)))
+def permutation_table(gens):
+    """Multiplication table of the group of permutations of 0..n-1 generated
+    by `gens` (row acts first); elements in the order they are found from
+    the identity."""
+    n = len(gens[0])
 
     def compose(a, b):
-        return tuple(b[a[i]] for i in range(3))
+        return tuple(b[a[i]] for i in range(n))
 
+    perms = [tuple(range(n))]
+    for a in perms:             # grows while it is read
+        for g in gens:
+            if compose(a, g) not in perms:
+                perms.append(compose(a, g))
     return [[perms.index(compose(a, b)) for b in perms] for a in perms]
+
+
+def s3_table():
+    """The symmetric group on three letters, generated by all of them."""
+    return permutation_table(list(itertools.permutations(range(3))))
+
+
+def klein_table():
+    """C_2 x C_2: two commuting double transpositions of four letters."""
+    return permutation_table([(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+def c6_table():
+    """C_6: a 6-cycle."""
+    return permutation_table([(1, 2, 3, 4, 5, 0)])
+
+
+def q8_table():
+    """The quaternion group Q_8, acting on itself: left multiplication by i
+    and by j on the points 1, i, j, k, -1, -i, -j, -k (numbered 0 to 7)."""
+    return permutation_table([(1, 4, 3, 6, 5, 0, 7, 2),
+                              (2, 7, 4, 1, 6, 3, 0, 5)])
+
+
+def a4_table():
+    """The alternating group A_4: a 3-cycle and a double transposition."""
+    return permutation_table([(1, 2, 0, 3), (1, 0, 3, 2)])
 
 
 def diamond_semilattice():

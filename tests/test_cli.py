@@ -289,18 +289,21 @@ def test_internal_faults_are_not_passed_off_as_bad_input(tmp_path, monkeypatch):
         main(["validate", w])
 
 
-# -- environment and entry point ---------------------------------------------------
+# -- bounds and entry point ---------------------------------------------------
 
 
-def test_windex_bound_env_failure(tmp_path, monkeypatch, capsys):
+def test_windex_bound_env_failure(tmp_path, capsys):
+    """A generated document whose bound is below its generator is bad
+    input (BoundTooSmall)."""
     obj = system_to_obj(
         WeakIndexingSystem.from_generators(C2, [C2.star_vset("e").scale(4)]))
-    del obj["bound"]  # force the bound to come from the environment
     path = _write(tmp_path, "gen.json", obj)
     assert main(["validate", path]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("WINDEX_BOUND", "1")
+    obj["bound"] = 2
+    path = _write(tmp_path, "small.json", obj)
     assert main(["validate", path]) == 2
+    assert "below the largest generator" in capsys.readouterr().err
 
 
 def test_installed_script_entry_point(tmp_path, monkeypatch):

@@ -2,12 +2,19 @@
 import pytest
 
 from windex import (
-    TooLarge, chain_group, classify, f_complete, f_zero, fold_left, leq,
-    system_label, system_poset,
+    TooLarge, UnsupportedBackend, WeakIndexingSystem, chain_group, classify,
+    cyclic_group, enumerate_transfer_systems, f_complete, f_zero,
+    finite_group, fold_left, leq, one_object_groupoid, system_label,
+    system_poset, transfer_of, trivial_point,
 )
 from windex.enumeration import (
     content_hash, enumerate_systems, enumerate_systems_fiberwise,
     normalize_class,
+)
+
+from helpers import (
+    a4_table, c6_table, diamond_semilattice, klein_table, q8_table, s3_table,
+    searched_indexing_systems,
 )
 
 
@@ -56,8 +63,43 @@ def test_brute_equals_fiberwise(p):
     P = chain_group(p, 2)
     assert set(enumerate_systems(P, "unital")) == \
         set(enumerate_systems_fiberwise(P))
-    assert set(enumerate_systems(P, "indexing")) == \
+    assert set(searched_indexing_systems(P)) == \
         set(enumerate_systems_fiberwise(P, "indexing"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 1), lambda: chain_group(3, 1),
+    lambda: chain_group(2, 2), lambda: chain_group(3, 2),
+    lambda: chain_group(2, 3), lambda: finite_group(s3_table(), name="S3"),
+    diamond_semilattice, lambda: cyclic_group(2, 3), trivial_point,
+    lambda: one_object_groupoid(2),
+    pytest.param(lambda: finite_group(c6_table(), name="C6"),
+                 marks=pytest.mark.slow),
+], ids=["C2", "C3", "C4", "C9", "C8", "S3", "diamond", "C8-table", "point",
+        "BG2", "C6"])
+def test_indexing_systems_equal_the_searched_ones(make):
+    P = make()
+    searched = searched_indexing_systems(P)
+    assert enumerate_systems(P, "indexing") == searched  # same order too
+    assert enumerate_systems_fiberwise(P, "indexing") == searched
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: finite_group(klein_table(), name="C2xC2"), 19),
+    (lambda: finite_group(q8_table(), name="Q8"), 68),
+    pytest.param(lambda: finite_group(a4_table(), name="A4"), 44,
+                 marks=pytest.mark.slow),
+], ids=["C2xC2", "Q8", "A4"])
+def test_one_indexing_system_per_transfer_system(make, count):
+    P = make()
+    transfer = enumerate_transfer_systems(P)
+    systems = enumerate_systems(P, "indexing")
+    assert len(transfer) == len(systems) == count
+    assert enumerate_systems_fiberwise(P, "indexing") == systems
+    assert set(map(transfer_of, systems)) == set(transfer)
+    for W in systems:
+        WeakIndexingSystem.from_sparse(P, W.sparse_levels, validate=True)
+        assert classify(W)["indexing"]
 
 
 def test_point_and_groupoid_are_four_chains(PT, BG):
@@ -97,6 +139,25 @@ def test_unnamed_systems_hash_stably(C4):
         assert system_label(W) == f"W#{content_hash(W)}"
 
 
+def test_exact_generated_copies_get_the_same_label(C4):
+    W = next(W for W in enumerate_systems(C4, "unital")
+             if system_label(W).startswith("W#"))
+    copy = WeakIndexingSystem.from_generators(
+        C4, [S for V in C4.orbit_classes for S in sorted(W.sparse_levels[V])])
+    assert copy.sparse_levels is None
+    assert system_label(copy) == system_label(W)
+
+
+def test_inexact_systems_have_no_label(C2):
+    W = WeakIndexingSystem.from_generators(C2, [C2.star_vset("e").scale(2)])
+    with pytest.raises(UnsupportedBackend):
+        system_label(W)
+    with pytest.raises(UnsupportedBackend):
+        content_hash(W)
+    with pytest.raises(UnsupportedBackend):
+        system_poset([W, f_zero(C2)])
+
+
 def test_normalize_class_aliases():
     assert normalize_class("aE-unital") == "aE_unital"
     assert normalize_class("ae") == "aE_unital"
@@ -106,9 +167,9 @@ def test_normalize_class_aliases():
         normalize_class("complete")
 
 
-def test_search_space_cap(C4):
+def test_search_space_cap(C8):
     with pytest.raises(TooLarge):
-        enumerate_systems(C4, "aE_unital", cap=16)
+        enumerate_systems(C8, "aE_unital")
 
 
 def test_fiberwise_covers_unital_classes_only(C2):

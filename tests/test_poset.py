@@ -1,0 +1,65 @@
+"""Finite posets: the order checks, extremes, covers and isomorphism."""
+import pytest
+
+from windex import chain_group, system_poset
+from windex.enumeration import enumerate_systems_fiberwise
+from windex.poset import Poset, poset_from_covers
+
+
+def divides(a, b):
+    return b % a == 0
+
+
+def test_one_label_per_element():
+    with pytest.raises(ValueError, match="one label per element"):
+        Poset([1, 2], divides, labels=["one"])
+
+
+def test_order_must_be_reflexive():
+    with pytest.raises(ValueError, match="not reflexive"):
+        Poset([1, 2], lambda a, b: a < b)
+
+
+def test_order_must_be_antisymmetric():
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Poset([1, 2], lambda a, b: True)
+
+
+def test_order_must_be_transitive():
+    related = {(0, 1), (1, 2)}
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset([0, 1, 2], lambda a, b: a == b or (a, b) in related)
+
+
+def test_bottom_and_top():
+    divisors = Poset([1, 2, 3, 4, 6, 12], divides)
+    assert (divisors.bottom(), divisors.top()) == (0, 5)
+    antichain = Poset([2, 3], divides)
+    assert (antichain.bottom(), antichain.top()) == (None, None)
+    vee = Poset([1, 2, 3], divides)
+    assert (vee.bottom(), vee.top()) == (0, None)
+    wedge = Poset([2, 3, 6], divides)
+    assert (wedge.bottom(), wedge.top()) == (None, 2)
+
+
+@pytest.mark.parametrize("n, covers", [(2, 32), (3, 162)], ids=["C4", "C8"])
+def test_poset_from_covers_gives_back_the_unital_poset(n, covers):
+    po = system_poset(enumerate_systems_fiberwise(chain_group(2, n)))
+    assert len(po.covers()) == covers
+    rebuilt = poset_from_covers(
+        po.labels, [(po.labels[i], po.labels[j]) for i, j in po.covers()])
+    assert rebuilt.covers() == po.covers()
+    size = range(len(po))
+    assert all(rebuilt.leq(i, j) == po.leq(i, j) for i in size for j in size)
+
+
+def test_isomorphic():
+    chain = Poset([1, 2, 4], divides)
+    vee = Poset([1, 2, 3], divides)
+    assert chain.isomorphic(vee) is None
+    assert Poset([2, 3, 6], divides).isomorphic(vee) is None
+    shuffled = Poset([4, 1, 2], divides)
+    mapping = chain.isomorphic(shuffled)
+    assert mapping is not None
+    assert all(chain.leq(i, j) == shuffled.leq(mapping[i], mapping[j])
+               for i in range(3) for j in range(3))

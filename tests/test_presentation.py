@@ -7,7 +7,9 @@ from windex.presentation import (
     validate_presentation,
 )
 
-from helpers import chain_restrict_oracle, s3_table
+from helpers import (
+    a4_table, c6_table, chain_restrict_oracle, klein_table, q8_table, s3_table,
+)
 
 
 DIAMOND = {
@@ -26,6 +28,9 @@ def diamond_lattice():
     chain_group(2, 2), chain_group(3, 1), chain_group(2, 3),
     cyclic_group(2, 2), cyclic_group(3, 1),
     trivial_point(), one_object_groupoid(4),
+    finite_group(klein_table(), name="C2xC2"),
+    finite_group(c6_table(), name="C6"), finite_group(q8_table(), name="Q8"),
+    finite_group(a4_table(), name="A4"),
 ])
 def test_backends_validate(P):
     report = validate_presentation(P)

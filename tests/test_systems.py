@@ -584,10 +584,8 @@ def test_hull_is_enlarging_and_idempotent(C2):
 # -- bounds --------------------------------------------------------------------------
 
 
-def test_closure_bound_env_override(C2, monkeypatch):
-    monkeypatch.setenv("WINDEX_BOUND", "12")
-    assert closure_bound(C2) == 12
-    monkeypatch.delenv("WINDEX_BOUND")
+def test_closure_bound_default(C2):
+    assert closure_bound(C2) == 8
     assert closure_bound(C2, C2.star_vset("e").scale(6)) == 12
 
 

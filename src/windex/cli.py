@@ -57,10 +57,11 @@ def _group_presentation(name):
     raise SerializationError(f"unknown group {name!r}")
 
 
-def _write_or_print(text, out):
+def _write_or_print(text, out, note=""):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+        print(f"wrote {out}{note}")
     else:
         sys.stdout.write(text)
 
@@ -93,7 +94,6 @@ def cmd_enumerate(args):
         else:
             text = serialize.dumps(po.to_json_obj())
         _write_or_print(text, args.out)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -125,9 +125,8 @@ def cmd_join(args):
     W = join(A, B)
     sp, exact = sparse_extract(W)
     text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out)
-    if args.out:
-        print(f"wrote {args.out}" + ("" if exact else " (sparse underapproximation)"))
+    _write_or_print(text, args.out,
+                    "" if exact else " (sparse underapproximation)")
     return 0
 
 
@@ -145,7 +144,6 @@ def cmd_fiber(args):
     if args.out:
         text = serialize.dumps([serialize.system_to_obj(W) for W in systems])
         _write_or_print(text, args.out)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -178,8 +176,6 @@ def cmd_transport(args):
     sp, exact = sparse_extract(result)
     text = serialize.dumps(serialize.system_to_obj(sp))
     _write_or_print(text, args.out)
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -193,8 +189,6 @@ def cmd_rep(args):
     print("arity support class: " + ", ".join(k for k, v in flags.items() if v))
     text = serialize.dumps(serialize.system_to_obj(W))
     _write_or_print(text, args.out)
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -205,8 +199,6 @@ def cmd_hull(args):
     print("hull class: " + ", ".join(k for k, v in flags.items() if v))
     text = serialize.dumps(serialize.system_to_obj(H))
     _write_or_print(text, args.out)
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 

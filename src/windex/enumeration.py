@@ -1,25 +1,28 @@
 """Exhaustive enumeration of weak indexing systems over a presentation.
 
 Systems whose unit and one-extra-orbit families agree (and only those) are
-faithfully described by their sparse members, so enumeration walks per-level
-subsets of the sparse universes, prunes with cheap necessary closure
-conditions, and certifies each survivor by closing its members
-(`sparse_closure`) and checking that no new sparse set appears.  A fiberwise
-variant over chains assembles the same unital systems from (transfer system,
-fold family, sieve) data.  Indexing systems are built from transfer systems.
+faithfully described by their sparse members.  The unital ones are found by
+a search: it walks per-level subsets of the sparse universes holding the
+empty set and the point, prunes with cheap necessary closure conditions, and
+certifies each survivor by closing its members (`sparse_closure`) and
+checking that no new sparse set appears.  A fiberwise variant over chains
+assembles the same unital systems from (transfer system, fold family, sieve)
+data.  The aE-unital and almost-unital systems are built from the unital
+ones, and indexing systems from transfer systems.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 from .poset import Poset
 from .presentation import TooLarge, UnsupportedBackend
 from .systems import (
-    YES, NotClosed, WeakIndexingSystem, f_complete, f_infinity, f_trivial,
+    YES, WeakIndexingSystem, f_complete, f_infinity, f_trivial,
     f_zero, is_sparse, leq, sparse_closure, sparse_extract, sparse_member,
     sparse_universe,
 )
-# Held here by name although certify reaches it through `sparse_closure`:
+# Held here by name although the walk reaches it through `sparse_closure`:
 # perfbench's tracer test looks up `windex.enumeration.saturate`.
 from .systems import saturate  # noqa: F401
 from .fibrations import (
@@ -51,13 +54,7 @@ def normalize_class(name):
 def _level_ok(P, V, members, levels):
     """Cheap necessary conditions on a candidate level, given the levels
     already fixed below it."""
-    star = P.star_vset(V)
-    if members and star not in members:
-        return False
     double = P.vset(V, [(P.star_key(V), 2)])
-    for U in P.orbit_classes:
-        if U != V and P.hom_exists(U, V) and members and not levels[U]:
-            return False
     probe = dict(levels)
     probe[V] = members
     for S in members:
@@ -69,8 +66,6 @@ def _level_ok(P, V, members, levels):
     for S in members:
         # dropping one orbit is a coproduct with an empty component
         for key, m in S.orbits:
-            if P.empty_vset(P.slice_cls(V, key)) not in probe[P.slice_cls(V, key)]:
-                continue
             trimmed = [(k, mm) for k, mm in S.orbits if k != key]
             if m > 1:
                 trimmed.append((key, m - 1))
@@ -100,76 +95,84 @@ def _indexing_systems(P):
                   key=_size_then_members)
 
 
+def _from_unital(P, unital, which):
+    """The systems of the class `which` built from the list of every unital
+    system, deduplicated and sorted: each unital W truncated to a family F
+    plus the point on a family C containing F (W's levels on F, the point
+    alone on C - F, nothing elsewhere), with F = C = every class for unital
+    and C = every class for almost-unital.
+
+    Such a system is closed (members on F restrict and combine inside F as
+    in W, and the point restricts to the point), and its unit and eps
+    families are F and its color family C: it is aE-unital.  Conversely an
+    aE-unital X holds the empty set and the point on its unit family F,
+    which is its eps family, at most the point elsewhere, and the point on
+    its color family C.  Its levels on F with the empty set and the point
+    elsewhere form a unital W, since any other restriction or coproduct is
+    the empty set, the point, or one inside F; and X is W truncated to F
+    plus the point on C - F."""
+    everything = frozenset(P.orbit_classes)
+    families = enumerate_families(P)
+    tops = families if which == "aE_unital" else [everything]
+    pairs = [(F, C) for C in tops for F in families
+             if F <= C and (which != "unital" or F == C)]
+    out = {}
+    for W, (F, C) in itertools.product(unital, pairs):
+        levels = {V: W.sparse_levels[V] if V in F else frozenset(
+            [P.star_vset(V)] if V in C else []) for V in P.orbit_classes}
+        out.setdefault(frozenset(levels.items()), levels)
+    return sorted((WeakIndexingSystem.from_sparse(P, lv, validate=False)
+                   for lv in out.values()), key=_size_then_members)
+
+
 def enumerate_systems(P, which="aE_unital"):
     """All systems of the class `which` (aE-unital, unital, almost-unital or
     indexing).  Indexing systems are built from transfer systems, the others
-    found by a search of at most ENUMERATION_CAP candidates (else TooLarge).
+    from the unital systems, which a search of at most ENUMERATION_CAP
+    candidates finds (else TooLarge).
     """
     which = normalize_class(which)
     if which == "indexing":
         return _indexing_systems(P)
-    universes = {V: sparse_universe(P, V) for V in P.orbit_classes}
-    units = {"aE_unital": (), "unital": (P.empty_vset, P.star_vset),
-             "almost_unital": (P.star_vset,)}[which]
-    forced = {V: {unit(V) for unit in units} for V in P.orbit_classes}
-
-    size = 1
-    for V in P.orbit_classes:
-        size *= 2 ** (len(universes[V]) - len(forced[V]))
-        if size > ENUMERATION_CAP:
-            raise TooLarge(f"search space exceeds {ENUMERATION_CAP} candidates")
-
     classes = list(P.orbit_classes)
-    out = []
-
-    def certify(levels):
-        gens = [S for mem in levels.values() for S in mem]
-        try:
-            closed = sparse_closure(
-                P, gens,
-                escape=lambda S: is_sparse(P, S) and S not in levels[S.over])
-        except NotClosed:       # not almost essentially unital
-            return None
-        if closed is None:
-            return None
-        return WeakIndexingSystem.from_sparse(P, dict(levels), validate=False)
+    forced = {V: frozenset([P.empty_vset(V), P.star_vset(V)]) for V in classes}
+    free = {V: [S for S in sparse_universe(P, V) if S not in forced[V]]
+            for V in classes}
+    if 2 ** sum(map(len, free.values())) > ENUMERATION_CAP:
+        raise TooLarge(f"search space exceeds {ENUMERATION_CAP} candidates")
+    unital = []
 
     def walk(i, levels):
         if i == len(classes):
-            W = certify(levels)
-            if W is not None:
-                out.append(W)
+            gens = [S for mem in levels.values() for S in mem]
+            if sparse_closure(P, gens, escape=lambda S: is_sparse(P, S)
+                              and S not in levels[S.over]) is not None:
+                unital.append(WeakIndexingSystem.from_sparse(
+                    P, dict(levels), validate=False))
             return
         V = classes[i]
-        free = [S for S in universes[V] if S not in forced[V]]
-        base = frozenset(forced[V])
-        for mask in range(2 ** len(free)):
-            members = frozenset(
-                list(base) + [S for j, S in enumerate(free) if mask >> j & 1])
+        for mask in range(2 ** len(free[V])):
+            members = forced[V] | {
+                S for j, S in enumerate(free[V]) if mask >> j & 1}
             if _level_ok(P, V, members, levels):
                 levels[V] = members
                 walk(i + 1, levels)
         levels[V] = frozenset()
 
     walk(0, {V: frozenset() for V in classes})
-    out.sort(key=_size_then_members)
-    return out
+    return _from_unital(P, unital, which)
 
 
 def enumerate_systems_fiberwise(P, which="unital"):
     """The unital systems assembled fiber by fiber over (transfer system,
-    fold family) pairs, chains only; or the indexing systems."""
+    fold family) pairs, chains only, and the other classes built from them;
+    or the indexing systems."""
     which = normalize_class(which)
     if which == "indexing":
         return _indexing_systems(P)
-    if which != "unital":
-        raise ValueError("the fibration only covers unital systems")
-    out = []
-    for R in enumerate_transfer_systems(P):
-        for F in enumerate_families(P):
-            out.extend(fiber_systems(R, F))
-    out.sort(key=_size_then_members)
-    return out
+    unital = [W for R in enumerate_transfer_systems(P)
+              for F in enumerate_families(P) for W in fiber_systems(R, F)]
+    return _from_unital(P, unital, which)
 
 
 # -- naming and poset assembly -------------------------------------------------

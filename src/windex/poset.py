@@ -86,31 +86,31 @@ class Poset:
         order = sorted(range(n), key=lambda i: len(candidates[i]))
         mapping = [None] * n
         used = [False] * n
-
-        def extend(pos):
-            if pos == n:
-                return True
+        tried = [0] * n         # candidates tried so far at each position
+        pos = 0
+        while pos < n:          # depth-first, on an explicit stack
             i = order[pos]
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                ok = True
-                for prev in order[:pos]:
-                    pj = mapping[prev]
-                    if (self._leq[i][prev] != other._leq[j][pj]
-                            or self._leq[prev][i] != other._leq[pj][j]):
-                        ok = False
-                        break
-                if ok:
+            if mapping[i] is not None:      # back here: drop the last choice
+                used[mapping[i]] = False
+                mapping[i] = None
+            while tried[pos] < len(candidates[i]):
+                j = candidates[i][tried[pos]]
+                tried[pos] += 1
+                if not used[j] and all(
+                        self._leq[i][prev] == other._leq[j][mapping[prev]]
+                        and self._leq[prev][i] == other._leq[mapping[prev]][j]
+                        for prev in order[:pos]):
                     mapping[i] = j
                     used[j] = True
-                    if extend(pos + 1):
-                        return True
-                    mapping[i] = None
-                    used[j] = False
-            return False
-
-        return mapping if extend(0) else None
+                    break
+            if mapping[i] is not None:
+                pos += 1
+            elif pos == 0:
+                return None
+            else:
+                tried[pos] = 0
+                pos -= 1
+        return mapping
 
     # -- export -------------------------------------------------------------
 

@@ -142,7 +142,7 @@ def _coproducts(P, S, levels, bound):
     yield from walk(0, P.empty_vset(V), bound)
 
 
-def saturate(P, gens, bound, escape=None, *, sparse_indexed=False):
+def saturate(P, gens, bound, escape=None):
     """Close the generators under restriction, units, and self-indexed
     coproducts, keeping every member of at most `bound` points.
 
@@ -154,12 +154,15 @@ def saturate(P, gens, bound, escape=None, *, sparse_indexed=False):
     aborts the whole saturation with result None (used to reject enumeration
     candidates as soon as a stray sparse member shows up).
 
-    With `sparse_indexed`, only sparse members index coproducts; every member
-    is still a component, and a non-sparse member brings in its sparse
-    reduced set and pieces (`sparse_decompose`).  That is exact for almost
-    essentially unital generators only; `sparse_closure` checks them and is
-    the caller to use.
+    When the generators are almost essentially unital (their eps family is
+    their unit family), only sparse members index coproducts; every member is
+    still a component, and a non-sparse member brings in its sparse reduced
+    set and pieces (`sparse_decompose`).  `sparse_closure` says why that is
+    exact.
     """
+    gens = list(gens)
+    fam = _generator_families(P, gens)
+    sparse_indexed = fam["eps"] == fam["unit"]
     levels = {V: set() for V in P.orbit_classes}
     pending = deque()
     dirty = set()
@@ -347,16 +350,18 @@ def sparse_closure(P, gens, escape=None):
     Saturating up to `sparse_bound` points (at least 2: the double point is
     sparse) decides every sparse V-set, since derivations flatten."""
     gens = list(gens)
-    by_level = {V: set() for V in P.orbit_classes}
-    for S in gens:
-        by_level[S.over].add(S)
-    fam = families_of_levels(P, by_level)
+    fam = _generator_families(P, gens)
     if fam["eps"] != fam["unit"]:
         raise NotClosed(
             "the generators are not almost essentially unital (eps "
             f"{sorted(fam['eps'])} vs unit {sorted(fam['unit'])})")
-    closed = saturate(P, gens, sparse_bound(P), escape, sparse_indexed=True)
+    closed = saturate(P, gens, sparse_bound(P), escape)
     return None if closed is None else sparse_part(P, closed)
+
+
+def _generator_families(P, gens):
+    return families_of_levels(
+        P, {V: {S for S in gens if S.over == V} for V in P.orbit_classes})
 
 
 def families_of_levels(P, levels):

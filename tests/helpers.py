@@ -10,9 +10,12 @@ import itertools
 from windex.fibrations import (
     TransferSystem, _closure_violation, is_family, transfer_codomain,
 )
-from windex.enumeration import enumerate_systems
+from windex.enumeration import _size_then_members, enumerate_systems
 from windex.presentation import indexed_coproduct, meet_semilattice
-from windex.systems import f_zero, join
+from windex.systems import (
+    NotClosed, WeakIndexingSystem, f_zero, is_sparse, join, sparse_closure,
+    sparse_member, sparse_universe,
+)
 
 
 def naive_closure(P, gens, bound):
@@ -92,6 +95,87 @@ def searched_indexing_systems(P):
     everything = frozenset(P.orbit_classes)
     return [W for W in enumerate_systems(P, "unital")
             if W.families()["fold"] == everything]
+
+
+def _searched_level_ok(P, V, members, levels):
+    """Necessary conditions on a candidate level of any of the three
+    searched classes, given the levels already fixed below it."""
+    star = P.star_vset(V)
+    if members and star not in members:
+        return False
+    double = P.vset(V, [(P.star_key(V), 2)])
+    for U in P.orbit_classes:
+        if U != V and P.hom_exists(U, V) and members and not levels[U]:
+            return False
+    probe = dict(levels)
+    probe[V] = members
+    for S in members:
+        for w in P.slice_keys(V):
+            if P.slice_cls(V, w) == V:
+                continue
+            if not sparse_member(P, probe, P.restrict(w, S)):
+                return False
+    for S in members:
+        # dropping one orbit is a coproduct with an empty component
+        for key, m in S.orbits:
+            if P.empty_vset(P.slice_cls(V, key)) not in probe[P.slice_cls(V, key)]:
+                continue
+            trimmed = [(k, mm) for k, mm in S.orbits if k != key]
+            if m > 1:
+                trimmed.append((key, m - 1))
+            T = P.vset(V, trimmed)
+            if is_sparse(P, T) and T not in members:
+                return False
+    if double in members:
+        for S in members:
+            for T in members:
+                if S.orbits and T.orbits:
+                    U = S + T
+                    if is_sparse(P, U) and U not in members:
+                        return False
+    return True
+
+
+def searched_systems(P, which):
+    """The aE-unital, unital or almost-unital systems of P, by walking every
+    choice of sparse members per level (the point at every class for
+    almost-unital, the empty set too for unital) with no size cap, and
+    keeping the candidates whose closure adds no sparse member; sorted like
+    the enumerations."""
+    units = {"aE_unital": (), "unital": (P.empty_vset, P.star_vset),
+             "almost_unital": (P.star_vset,)}[which]
+    forced = {V: frozenset(unit(V) for unit in units) for V in P.orbit_classes}
+    classes = list(P.orbit_classes)
+    out = []
+
+    def certify(levels):
+        gens = [S for mem in levels.values() for S in mem]
+        try:
+            closed = sparse_closure(
+                P, gens,
+                escape=lambda S: is_sparse(P, S) and S not in levels[S.over])
+        except NotClosed:       # not almost essentially unital
+            return
+        if closed is not None:
+            out.append(WeakIndexingSystem.from_sparse(
+                P, dict(levels), validate=False))
+
+    def walk(i, levels):
+        if i == len(classes):
+            certify(levels)
+            return
+        V = classes[i]
+        free = [S for S in sparse_universe(P, V) if S not in forced[V]]
+        for mask in range(2 ** len(free)):
+            members = forced[V] | {
+                S for j, S in enumerate(free) if mask >> j & 1}
+            if _searched_level_ok(P, V, members, levels):
+                levels[V] = members
+                walk(i + 1, levels)
+        levels[V] = frozenset()
+
+    walk(0, {V: frozenset() for V in classes})
+    return sorted(out, key=_size_then_members)
 
 
 def subsets(items):

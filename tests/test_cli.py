@@ -55,6 +55,14 @@ def test_enumerate_fiberwise_agrees(capsys):
     assert "21 unital systems" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [[], ["--fiberwise"]],
+                         ids=["brute", "fiberwise"])
+def test_enumerate_ae_unital_height_three(flags, capsys):
+    assert main(["enumerate", "--p", "2", "--n", "3",
+                 "--class", "aE-unital"] + flags) == 0
+    assert "152 aE_unital systems" in capsys.readouterr().out
+
+
 def test_enumerate_json_poset(tmp_path, capsys):
     out = tmp_path / "poset.json"
     assert main(["enumerate", "--p", "3", "--n", "1", "--out", str(out)]) == 0

@@ -14,7 +14,7 @@ from windex.enumeration import (
 
 from helpers import (
     a4_table, c6_table, diamond_semilattice, klein_table, q8_table, s3_table,
-    searched_indexing_systems,
+    searched_indexing_systems, searched_systems,
 )
 
 
@@ -61,10 +61,44 @@ def test_height_two_unital_poset(C4):
 @pytest.mark.parametrize("p", [2, 3])
 def test_brute_equals_fiberwise(p):
     P = chain_group(p, 2)
-    assert set(enumerate_systems(P, "unital")) == \
-        set(enumerate_systems_fiberwise(P))
+    for which in ("aE_unital", "unital", "almost_unital"):
+        assert enumerate_systems(P, which) == \
+            enumerate_systems_fiberwise(P, which)
     assert set(searched_indexing_systems(P)) == \
         set(enumerate_systems_fiberwise(P, "indexing"))
+
+
+@pytest.mark.parametrize("make, classes", [
+    (lambda: chain_group(2, 1), ("aE_unital", "almost_unital")),
+    (lambda: chain_group(3, 1), ("aE_unital", "almost_unital")),
+    (lambda: chain_group(2, 2), ("aE_unital", "almost_unital")),
+    (lambda: chain_group(3, 2), ("aE_unital", "almost_unital")),
+    (trivial_point, ("aE_unital", "almost_unital")),
+    (lambda: one_object_groupoid(2), ("aE_unital", "almost_unital")),
+    pytest.param(lambda: chain_group(2, 3), ("aE_unital", "almost_unital"),
+                 marks=pytest.mark.slow),
+    pytest.param(diamond_semilattice, ("aE_unital",), marks=pytest.mark.slow),
+], ids=["C2", "C3", "C4", "C9", "point", "BG2", "C8", "diamond"])
+def test_classes_built_from_unital_equal_the_searched_ones(make, classes):
+    P = make()
+    for which in classes:
+        # same systems, same order
+        assert enumerate_systems(P, which) == searched_systems(P, which)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_counts_over_chains_from_unital_counts(p):
+    # u[k] is the unital count over C_{p^(k-1)}; u[0] = 1 stands for the
+    # empty family, under which every class holds at most the point
+    u = [1] + [len(enumerate_systems_fiberwise(chain_group(p, k)))
+               for k in range(5)]
+    assert u[1:3] == [2, 6]
+    for n in range(5):
+        P = chain_group(p, n)
+        assert len(enumerate_systems_fiberwise(P, "aE_unital")) == \
+            sum((n + 2 - k) * u[k] for k in range(n + 2))
+        assert len(enumerate_systems_fiberwise(P, "almost_unital")) == \
+            sum(u[k] for k in range(n + 2))
 
 
 @pytest.mark.parametrize("make", [
@@ -167,14 +201,16 @@ def test_normalize_class_aliases():
         normalize_class("complete")
 
 
-def test_search_space_cap(C8):
+def test_search_space_cap():
+    # the unital search over C_16 has 2^25 candidates
     with pytest.raises(TooLarge):
-        enumerate_systems(C8, "aE_unital")
+        enumerate_systems(chain_group(2, 4), "aE_unital")
 
 
-def test_fiberwise_covers_unital_classes_only(C2):
-    with pytest.raises(ValueError):
-        enumerate_systems_fiberwise(C2, "aE_unital")
+def test_fiberwise_needs_a_chain():
+    S3 = finite_group(s3_table(), name="S3")
+    with pytest.raises(UnsupportedBackend):
+        enumerate_systems_fiberwise(S3, "aE_unital")
 
 
 def test_fiberwise_height_four_count_is_prime_independent():
@@ -184,8 +220,9 @@ def test_fiberwise_height_four_count_is_prime_independent():
 
 @pytest.mark.slow
 def test_height_three_brute_equals_fiberwise(C8):
-    assert set(enumerate_systems(C8, "unital")) == \
-        set(enumerate_systems_fiberwise(C8))
+    for which in ("aE_unital", "unital", "almost_unital"):
+        assert enumerate_systems(C8, which) == \
+            enumerate_systems_fiberwise(C8, which)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

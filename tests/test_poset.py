@@ -1,4 +1,7 @@
 """Finite posets: the order checks, extremes, covers and isomorphism."""
+import random
+import sys
+
 import pytest
 
 from windex import chain_group, system_poset
@@ -63,3 +66,29 @@ def test_isomorphic():
     assert mapping is not None
     assert all(chain.leq(i, j) == shuffled.leq(mapping[i], mapping[j])
                for i in range(3) for j in range(3))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_isomorphic_does_not_recurse_per_element():
+    # 75 ranks of two incomparable elements each, and a shuffled copy
+    def below(a, b):
+        return a == b or a // 2 < b // 2
+
+    elements = list(range(150))
+    shuffled = elements[:]
+    random.Random(150).shuffle(shuffled)
+    ladder, copy = Poset(elements, below), Poset(shuffled, below)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        mapping = ladder.isomorphic(copy)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
+    assert all(copy.elements[mapping[i]] // 2 == i // 2 for i in elements)

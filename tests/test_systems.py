@@ -210,11 +210,28 @@ def test_sparse_closure_refuses_generators_that_are_not_ae(P_name, request):
     # the point beside a free orbit: nontrivial at every class, no units
     # anywhere; indexing by sparse members alone misses members here
     gens = [P.star_vset(top) + P.orbit_vset(top, "e")]
-    assert sparse_part(P, saturate(P, gens, 10, sparse_indexed=True)) != \
-        sparse_part(P, saturate(P, gens, 10))
+    assert saturate(P, gens, 10) == naive_closure(P, gens, 10)
     for bad in (gens, [P.vset("e", [(P.star_key("e"), 2)])]):
         with pytest.raises(NotClosed):
             sparse_closure(P, bad)
+
+
+@pytest.mark.parametrize("P_name", ["C2", "C3"])
+def test_saturate_of_ae_generators_matches_naive(P_name, request):
+    # almost essentially unital generators index coproducts by their sparse
+    # members only; the naive closure lets every member index them
+    P = request.getfixturevalue(P_name)
+    top = P.orbit_classes[-1]
+    units = [P.empty_vset(V) for V in P.orbit_classes]
+    free, point = P.orbit_vset(top, "e"), P.star_vset(top)
+    gen_sets = [[S for mem in W.sparse_levels.values() for S in mem]
+                for W in enumerate_systems(P, "aE_unital")]
+    gen_sets += [units + [free.scale(2)], units + [point.scale(3)],
+                 units + [free + point.scale(2)]]
+    for gens in gen_sets:
+        least = max([sparse_bound(P)] + [P.points(g) for g in gens])
+        for bound in (least, least + 1):
+            assert saturate(P, gens, bound) == naive_closure(P, gens, bound)
 
 
 def test_saturate_matches_naive_on_s3():

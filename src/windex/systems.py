@@ -154,11 +154,27 @@ def saturate(P, gens, bound, escape=None):
     aborts the whole saturation with result None (used to reject enumeration
     candidates as soon as a stray sparse member shows up).
 
-    When the generators are almost essentially unital (their eps family is
-    their unit family), only sparse members index coproducts; every member is
-    still a component, and a non-sparse member brings in its sparse reduced
-    set and pieces (`sparse_decompose`).  `sparse_closure` says why that is
-    exact.
+    When the generators are almost essentially unital (their eps family, the
+    classes under one with a generator other than the point, equals the
+    classes with the empty set as a generator), only sparse members index
+    coproducts; every member is still a component, and a member that is not
+    sparse brings in its sparse reduced set and pieces (`sparse_decompose`).
+    That is exact, and nothing in the argument uses sparse generators:
+
+    1. The generated system has the same eps and unit families.  A new member
+       is the point, a restriction (which stays under its source's class), or
+       a coproduct, which is its component when indexed by the point and else
+       lies at a class where the index is a member other than the point.  So
+       eps does not grow; and unit lies inside eps, and contains the
+       generators' unit, so it equals eps throughout.
+    2. In such a system the sparse reduced set and the pieces of a member S
+       are members: the reduced set is a coproduct over S with points and
+       empty sets as components (the empty sets are there because unit =
+       eps), and each piece is a summand of a restriction of S.  A coproduct
+       over S is one over the reduced set whose components are coproducts
+       over the pieces, so by induction along the decomposition (the
+       recursion `sparse_member` runs) every coproduct is reached by
+       coproducts indexed by sparse members.
     """
     gens = list(gens)
     fam = _generator_families(P, gens)
@@ -323,31 +339,13 @@ def sparse_member(P, levels, S):
 
 
 def sparse_closure(P, gens, escape=None):
-    """The sparse members of the system generated by the sparse `gens`, or
-    None if `escape` (as in `saturate`) fires on a member.
+    """The sparse members of the system generated by `gens`, or None if
+    `escape` (as in `saturate`) fires on a member.
 
-    The generators must be almost essentially unital: their eps family (the
-    classes under one with a member other than the point) must equal their
-    unit family; NotClosed is raised otherwise.  Then only sparse members
-    need to index coproducts:
-
-    1. The generated system has the same eps and unit families.  A new member
-       is the point, a restriction (which stays under its source's class), or
-       a coproduct, which is its component when indexed by the point and else
-       lies at a class where the index is a member other than the point.  So
-       eps does not grow; and unit lies inside eps, and contains the
-       generators' unit, so it equals eps throughout.
-    2. In such a system the sparse reduced set and the pieces of a member S
-       (`sparse_decompose`) are members: the reduced set is a coproduct over
-       S with points and empty sets as components (the empty sets are there
-       because unit = eps), and each piece is a summand of a restriction of
-       S.  The closure adds them with every member that is not sparse.  A
-       coproduct over S is one over the reduced set whose components are
-       coproducts over the pieces, so by induction along the decomposition
-       (the recursion `sparse_member` runs) every coproduct is reached by
-       coproducts indexed by sparse members.
-
-    Saturating up to `sparse_bound` points (at least 2: the double point is
+    The generators must be almost essentially unital (their eps family must
+    equal their unit family); NotClosed is raised otherwise.  Their closure
+    then indexes coproducts by sparse members only (`saturate` says why), and
+    saturating up to `sparse_bound` points (at least 2: the double point is
     sparse) decides every sparse V-set, since derivations flatten."""
     gens = list(gens)
     fam = _generator_families(P, gens)
@@ -366,7 +364,9 @@ def _generator_families(P, gens):
 
 def families_of_levels(P, levels):
     """The color, unit, fold, and one-extra-orbit (eps) families, read off
-    levels that hold at least every sparse member of the system."""
+    levels that hold at least every sparse member of the system.  Off bare
+    generators (`_generator_families`) only eps = unit is read, and then
+    those two are the generated system's (see `saturate`)."""
     def having(vset_at):
         return frozenset(V for V, mem in levels.items() if vset_at(V) in mem)
 

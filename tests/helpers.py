@@ -3,9 +3,12 @@
 Everything here recomputes expected values from first principles, with none
 of the incremental machinery of the package: closures run as plain fixpoint
 loops, group data comes from explicit permutation tables, and chain
-restrictions follow the double-coset counting formula directly.
+restrictions follow the double-coset counting formula directly.  The one
+exception is `full_saturation`, which shares the package's coproduct
+enumeration and differs from `saturate` in what indexes coproducts.
 """
 import itertools
+from collections import deque
 
 from windex.fibrations import (
     TransferSystem, _closure_violation, is_family, transfer_codomain,
@@ -13,8 +16,8 @@ from windex.fibrations import (
 from windex.enumeration import _size_then_members, enumerate_systems
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
-    NotClosed, WeakIndexingSystem, f_zero, is_sparse, join, sparse_closure,
-    sparse_member, sparse_universe,
+    NotClosed, WeakIndexingSystem, _coproducts, f_zero, is_sparse, join,
+    sparse_closure, sparse_member, sparse_universe,
 )
 
 
@@ -46,6 +49,43 @@ def naive_closure(P, gens, bound):
                     if P.points(U) <= bound and U not in levels[V]:
                         levels[V].add(U)
                         changed = True
+    return {V: frozenset(mem) for V, mem in levels.items()}
+
+
+def full_saturation(P, gens, bound):
+    """Close the generators under units, restriction, and self-indexed
+    coproducts with every member indexing them, keeping members of at most
+    `bound` points: the worklist `saturate` runs on generators that are not
+    almost essentially unital, here whatever the generators, so that its
+    sparse-indexed path has an oracle fast enough for C_8, S_3 and the
+    diamond."""
+    levels = {V: set() for V in P.orbit_classes}
+    pending = deque()
+    dirty = set()
+    by_component_class = {V: set() for V in P.orbit_classes}
+
+    def add(S):
+        if P.points(S) > bound or S in levels[S.over]:
+            return
+        levels[S.over].add(S)
+        pending.append(S)
+        dirty.update(by_component_class[S.over])
+        dirty.add(S)
+        for k, _ in S.orbits:
+            by_component_class[P.slice_cls(S.over, k)].add(S)
+
+    for g in gens:
+        add(g)
+    while pending or dirty:
+        while pending:
+            S = pending.popleft()
+            add(P.star_vset(S.over))
+            for w in P.slice_keys(S.over):
+                add(P.restrict(w, S))
+        batch, dirty = dirty, set()
+        for S in sorted(batch):
+            for result in _coproducts(P, S, levels, bound):
+                add(result)
     return {V: frozenset(mem) for V, mem in levels.items()}
 
 

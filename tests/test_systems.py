@@ -21,7 +21,9 @@ from windex.presentation import VSet
 from windex.serialize import system_from_obj, system_to_obj
 from windex.systems import families_of_levels, sparse_closure
 
-from helpers import diamond_semilattice, naive_closure, s3_table
+from helpers import (
+    diamond_semilattice, full_saturation, naive_closure, s3_table,
+)
 
 
 S3 = finite_group(s3_table(), name="S3")
@@ -129,11 +131,12 @@ def test_membership_matches_naive_closure(P_name, bound, request):
 ], ids=["C2-aE_unital", "C4-unital", "S3-indexing"])
 def test_sparse_membership_matches_saturation(P, which):
     # the fast path (lookup plus isotropy decomposition) against saturating
-    # the sparse members, one point past the largest sparse V-set
+    # the sparse members with every member indexing coproducts, one point
+    # past the largest sparse V-set
     bound = sparse_bound(P) + 1
     for W in enumerate_systems(P, which):
-        sat = saturate(P, [S for mem in W.sparse().values() for S in mem],
-                       bound)
+        sat = full_saturation(
+            P, [S for mem in W.sparse().values() for S in mem], bound)
         for V in P.orbit_classes:
             for S in P.vsets_up_to(V, bound):
                 assert (W.member(S) == YES) == (S in sat[V]), (W, S)
@@ -144,11 +147,10 @@ def test_sparse_membership_matches_saturation(P, which):
 
 def _assert_sparse_closure_matches_saturate(P, levels):
     """`sparse_closure` of the members in `levels` has the sparse part of their
-    full saturation, and its escape on a stray sparse member fires exactly
-    when that saturation holds one (which is when saturating with the same
-    escape would fire)."""
+    saturation with every member indexing coproducts, and its escape on a
+    stray sparse member fires exactly when that saturation holds one."""
     gens = [S for mem in levels.values() for S in mem]
-    full = sparse_part(P, saturate(P, gens, sparse_bound(P)))
+    full = sparse_part(P, full_saturation(P, gens, sparse_bound(P)))
     assert sparse_closure(P, gens) == full, levels
     escaped = sparse_closure(
         P, gens, escape=lambda S: is_sparse(P, S) and S not in levels[S.over])
@@ -216,22 +218,42 @@ def test_sparse_closure_refuses_generators_that_are_not_ae(P_name, request):
             sparse_closure(P, bad)
 
 
-@pytest.mark.parametrize("P_name", ["C2", "C3"])
-def test_saturate_of_ae_generators_matches_naive(P_name, request):
-    # almost essentially unital generators index coproducts by their sparse
-    # members only; the naive closure lets every member index them
-    P = request.getfixturevalue(P_name)
+def _ae_generator_sets(P):
+    """The members of every aE-unital system of P, and three almost
+    essentially unital generator sets that are not sparse."""
     top = P.orbit_classes[-1]
     units = [P.empty_vset(V) for V in P.orbit_classes]
     free, point = P.orbit_vset(top, "e"), P.star_vset(top)
     gen_sets = [[S for mem in W.sparse_levels.values() for S in mem]
                 for W in enumerate_systems(P, "aE_unital")]
-    gen_sets += [units + [free.scale(2)], units + [point.scale(3)],
-                 units + [free + point.scale(2)]]
-    for gens in gen_sets:
-        least = max([sparse_bound(P)] + [P.points(g) for g in gens])
-        for bound in (least, least + 1):
-            assert saturate(P, gens, bound) == naive_closure(P, gens, bound)
+    return gen_sets + [units + [free.scale(2)], units + [point.scale(3)],
+                       units + [free + point.scale(2)]]
+
+
+def _least_bounds(P, gens):
+    least = max([sparse_bound(P)] + [P.points(g) for g in gens])
+    return least, least + 1
+
+
+@pytest.mark.parametrize("P_name", ["C2", "C3"])
+def test_saturate_of_ae_generators_matches_naive(P_name, request):
+    # almost essentially unital generators index coproducts by their sparse
+    # members only; the naive closure lets every member index them
+    P = request.getfixturevalue(P_name)
+    for gens in _ae_generator_sets(P):
+        for bound in _least_bounds(P, gens):
+            expected = naive_closure(P, gens, bound)
+            assert saturate(P, gens, bound) == expected
+            assert full_saturation(P, gens, bound) == expected
+
+
+@pytest.mark.parametrize("P_name", [
+    "C4", pytest.param("C9", marks=pytest.mark.slow)])
+def test_saturate_of_ae_generators_matches_full_indexing(P_name, request):
+    P = request.getfixturevalue(P_name)
+    for gens in _ae_generator_sets(P):
+        for bound in _least_bounds(P, gens):
+            assert saturate(P, gens, bound) == full_saturation(P, gens, bound)
 
 
 def test_saturate_matches_naive_on_s3():

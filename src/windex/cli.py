@@ -104,7 +104,6 @@ def cmd_validate(args):
         print(f"not closed: {exc}")
         return 1
     checks = validate_wic(W)
-    bad = 0
     for name, (ok, witness) in checks.items():
         mark = "ok" if ok else "FAIL"
         extra = f"  [{witness}]" if (witness and not ok) else ""

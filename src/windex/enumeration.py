@@ -170,8 +170,9 @@ def enumerate_systems_fiberwise(P, which="unital"):
     which = normalize_class(which)
     if which == "indexing":
         return _indexing_systems(P)
+    families = enumerate_families(P)
     unital = [W for R in enumerate_transfer_systems(P)
-              for F in enumerate_families(P) for W in fiber_systems(R, F)]
+              for F in families for W in fiber_systems(R, F)]
     return _from_unital(P, unital, which)
 
 

@@ -9,6 +9,7 @@ resulting maps.
 """
 from __future__ import annotations
 
+from .poset import closed_sets, closure
 from .systems import (
     NO, YES, WeakIndexingSystem, classify, downward_closure, f_complete,
     f_trivial, f_zero, join, sparse_closure, sparse_universe,
@@ -31,31 +32,10 @@ def is_family(P, classes):
     return all(V in P._slices for V in fam) and downward_closure(P, fam) == fam
 
 
-def closed_sets(items, close):
-    """The sets of `items` fixed by the closure operator `close`, ordered by
-    size, then by the positions of their items in `items`.
-
-    The walk starts from close({}) and steps from each closed set C to
-    close(C + {x}) for every x outside C.  That reaches every closed set D
-    above C, because close(C + {x}) lies inside D for any x in D outside C.
-    """
-    pos = {x: i for i, x in enumerate(items)}
-    start = frozenset(close(frozenset()))
-    seen, todo = {start}, [start]
-    while todo:
-        C = todo.pop()
-        for x in items:
-            if x not in C:
-                D = frozenset(close(C | {x}))
-                if D not in seen:
-                    seen.add(D)
-                    todo.append(D)
-    return sorted(seen, key=lambda C: (len(C), sorted(pos[x] for x in C)))
-
-
 def enumerate_families(P):
     """All families, ordered by size then lexicographically."""
-    return closed_sets(P.orbit_classes, lambda C: downward_closure(P, C))
+    return closed_sets(P.orbit_classes,
+                       lambda V, present: downward_closure(P, [V]))
 
 
 # -- transfer systems ----------------------------------------------------------
@@ -75,9 +55,9 @@ class TransferSystem:
             for u, V in self.pairs:
                 if V not in P._slices or u not in P.slice_keys(V):
                     raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
-            bad = _closure_violation(P, self.pairs)
-            if bad is not None:
-                raise ValueError(f"transfer system is not closed: missing {bad}")
+            missing = closure(_transfer_rule(P), (), self.strict()) - self.pairs
+            if missing:
+                raise ValueError(f"transfer system is not closed: missing {min(missing)}")
 
     def strict(self):
         return frozenset((u, V) for u, V in self.pairs
@@ -102,42 +82,38 @@ class TransferSystem:
         return f"<TransferSystem {strict}>"
 
 
-def _closure_violation(P, pairs):
-    """A pair required by composition or base change but absent, or None."""
-    for u, V in pairs:
+def _transfer_rule(P):
+    """What a non-identity orbit (u, V) brings into a transfer system, given
+    the pairs present: its base changes other than identities, and its
+    composites with the present pairs, as either step."""
+    def rule(pair, present):
+        u, V = pair
         U = P.slice_cls(V, u)
-        for x, U2 in pairs:
-            if U2 == U:
-                comp = (P.induct_key(V, u, x), V)
-                if comp not in pairs:
-                    return comp
+        out = [(P.induct_key(V, u, x), V) for x, U2 in present if U2 == U]
+        out += [(P.induct_key(V2, w, u), V2) for w, V2 in present
+                if P.slice_cls(V2, w) == V]
         for w in P.slice_keys(V):
             W = P.slice_cls(V, w)
-            for piece in P.restriction_keys(V, w, u):
-                if (piece, W) not in pairs:
-                    return (piece, W)
-    return None
+            out += [(k, W) for k in P.restriction_keys(V, w, u)
+                    if k != P.star_key(W)]
+        return out
+    return rule
 
 
 def transfer_closure(P, pairs):
     """The smallest transfer system containing the given pairs."""
-    full = set(pairs)
-    for V in P.orbit_classes:
-        full.add((P.star_key(V), V))
-    while True:
-        bad = _closure_violation(P, full)
-        if bad is None:
-            return TransferSystem(P, full, check=False)
-        full.add(bad)
+    strict = [(u, V) for u, V in pairs if u != P.star_key(V)]
+    return TransferSystem(P, closure(_transfer_rule(P), (), strict),
+                          check=False)
 
 
 def enumerate_transfer_systems(P):
-    """All transfer systems, smallest first: the closed sets of
-    `transfer_closure` on the non-identity orbits."""
+    """All transfer systems, smallest first: the closed sets of composition
+    and base change on the non-identity orbits."""
     strict = [(u, V) for V in P.orbit_classes
               for u in P.slice_keys(V) if u != P.star_key(V)]
-    return [TransferSystem(P, C, check=False) for C in
-            closed_sets(strict, lambda C: transfer_closure(P, C).strict())]
+    return [TransferSystem(P, C, check=False)
+            for C in closed_sets(strict, _transfer_rule(P))]
 
 
 # -- between systems and transfer data -------------------------------------

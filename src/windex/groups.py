@@ -7,6 +7,8 @@ the orbit-category presentations and the point-level oracles.
 """
 from __future__ import annotations
 
+from .poset import closure
+
 
 class NotAGroup(ValueError):
     pass
@@ -70,32 +72,22 @@ class GroupTable:
     def conj_subgroup(self, g, H):
         return frozenset(self.conj(g, h) for h in H)
 
+    def _products(self, a, present):
+        """What a brings into a subgroup: its inverse, and its products with
+        every present element on either side."""
+        t, row = self.table, self.table[a]
+        return ([self.inv(a)] + [row[b] for b in present]
+                + [t[b][a] for b in present])
+
     def subgroup_generated(self, gens):
-        cur = {self.e} | set(gens)
-        frontier = list(cur)
-        while frontier:
-            a = frontier.pop()
-            for b in list(cur):
-                for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                    if c not in cur:
-                        cur.add(c)
-                        frontier.append(c)
-        return frozenset(cur)
+        return closure(self._products, (), [self.e, *gens])
 
     def subgroups(self):
         """All subgroups, as the join closure of the cyclic subgroups."""
-        found = {frozenset([self.e])}
-        found.update(self.subgroup_generated([a]) for a in range(self.n))
-        while True:
-            new = set()
-            for A in found:
-                for B in found:
-                    J = self.subgroup_generated(A | B)
-                    if J not in found:
-                        new.add(J)
-            if not new:
-                return sorted(found, key=lambda H: (len(H), sorted(H)))
-            found.update(new)
+        cyclic = [self.subgroup_generated([a]) for a in range(self.n)]
+        found = closure(lambda A, present: [closure(self._products, A, B)
+                                            for B in present], (), cyclic)
+        return sorted(found, key=lambda H: (len(H), sorted(H)))
 
     def _coset_reps(self, H, coset):
         """The least element of each coset coset(h), identity first."""

@@ -1,5 +1,40 @@
-"""Finite posets: covers, Hasse diagrams, isomorphism, deterministic export."""
+"""The closure engine; finite posets: covers, isomorphism, DOT/JSON export."""
 from __future__ import annotations
+
+
+def closure(rule, closed=(), new=()):
+    """The least set closed under `rule` that holds the closed set `closed`
+    and the items `new`.  `rule(x, present)` lists what x brings in, given
+    the items present; each item is expanded once, when it arrives, so a rule
+    on pairs sees every pair, and the items of `closed` are not expanded."""
+    out = set(closed)
+    todo = list(set(new) - out)
+    out.update(todo)
+    while todo:
+        for y in rule(todo.pop(), out):
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return frozenset(out)
+
+
+def closed_sets(items, rule):
+    """The subsets of `items` closed under `rule`, by size, then by the
+    positions of their items in `items`: the walk steps from each closed set
+    C to the closure of C and x for every x outside C, which lies inside any
+    closed set holding C and x, so it reaches every closed set."""
+    pos = {x: i for i, x in enumerate(items)}
+    start = closure(rule)
+    seen, todo = {start}, [start]
+    while todo:
+        C = todo.pop()
+        for x in items:
+            if x not in C:
+                D = closure(rule, C, [x])
+                if D not in seen:
+                    seen.add(D)
+                    todo.append(D)
+    return sorted(seen, key=lambda C: (len(C), sorted(pos[x] for x in C)))
 
 
 class Poset:
@@ -132,20 +167,11 @@ class Poset:
 
 def poset_from_covers(labels, cover_pairs):
     """Build a poset from labels and cover pairs (lo, hi), taking the
-    reflexive-transitive closure."""
+    reflexive-transitive closure: each node's up-set closed under the
+    successors of its members."""
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    succ = [[] for _ in labels]
     for lo, hi in cover_pairs:
-        leq[index[lo]][index[hi]] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
-    return Poset(range(n), lambda a, b: leq[a][b], labels=labels)
+        succ[index[lo]].append(index[hi])
+    up = [closure(lambda j, present: succ[j], (), [i]) for i in range(len(labels))]
+    return Poset(range(len(labels)), lambda a, b: b in up[a], labels=labels)

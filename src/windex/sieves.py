@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .poset import closed_sets, closure
 from .presentation import require_chain
 from .fibrations import (
-    TransferSystem, closed_sets, transfer_codomain, transfer_domain,
-    transfer_of,
+    TransferSystem, transfer_codomain, transfer_domain, transfer_of,
 )
 from .systems import YES, WeakIndexingSystem, classify
 
@@ -25,20 +25,16 @@ class NotAdmissible(ValueError):
 _CHAINS_ONLY = "sieves are only defined"
 
 
-def _sieve_closure(P, R, scope, pairs):
-    """The smallest set of pairs containing `pairs` that meets both sieve
-    conditions: with (K, H) it holds (K, L) for every L of the scope
-    strictly between K and H, and (J, H) for every admissible (J, K)."""
+def _sieve_rule(P, R, scope):
+    """What a pair (K, H) brings into a sieve: (K, L) for every L of the
+    scope strictly between K and H, and (J, H) for every admissible (J, K)."""
     idx = P.orbit_index
     strict = R.strict()
-    out, todo = set(pairs), list(pairs)
-    while todo:
-        K, H = todo.pop()
-        new = {(K, L) for L in scope if idx(K) < idx(L) < idx(H)}
-        new |= {(J, H) for J, K2 in strict if K2 == K}
-        todo.extend(new - out)
-        out |= new
-    return frozenset(out)
+    def rule(pair, present):
+        K, H = pair
+        return ([(K, L) for L in scope if idx(K) < idx(L) < idx(H)]
+                + [(J, H) for J, K2 in strict if K2 == K])
+    return rule
 
 
 def is_sieve(P, R, scope, pairs):
@@ -46,7 +42,7 @@ def is_sieve(P, R, scope, pairs):
     sieve conditions."""
     pairs = frozenset(pairs)
     return (pairs <= {(K, H) for K, H in R.strict() if H in scope}
-            and _sieve_closure(P, R, scope, pairs) == pairs)
+            and closure(_sieve_rule(P, R, scope), (), pairs) == pairs)
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,8 @@ def enumerate_sieves(R, family):
     require_chain(P, _CHAINS_ONLY)
     scope = transfer_codomain(R) - frozenset(family)
     available = sorted((K, H) for K, H in R.strict() if H in scope)
-    return [Sieve(R, scope, C) for C in closed_sets(
-        available, lambda C: _sieve_closure(P, R, scope, C))]
+    return [Sieve(R, scope, C)
+            for C in closed_sets(available, _sieve_rule(P, R, scope))]
 
 
 def sieve_of(W):

@@ -10,9 +10,7 @@ enumeration and differs from `saturate` in what indexes coproducts.
 import itertools
 from collections import deque
 
-from windex.fibrations import (
-    TransferSystem, _closure_violation, is_family, transfer_codomain,
-)
+from windex.fibrations import TransferSystem, is_family, transfer_codomain
 from windex.enumeration import _size_then_members, enumerate_systems
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
@@ -229,6 +227,24 @@ def scanned_families(P):
     return [frozenset(c) for c in subsets(P.orbit_classes) if is_family(P, c)]
 
 
+def transfer_conditions(P, pairs):
+    """The definition of a transfer system, checked pair by pair: the pairs
+    hold every identity, and with (u, V) they hold its composite with every
+    pair over the class of V/u, and each of its base changes."""
+    if any((P.star_key(V), V) not in pairs for V in P.orbit_classes):
+        return False
+    for u, V in pairs:
+        U = P.slice_cls(V, u)
+        for x, U2 in pairs:
+            if U2 == U and (P.induct_key(V, u, x), V) not in pairs:
+                return False
+        for w in P.slice_keys(V):
+            W = P.slice_cls(V, w)
+            if any((k, W) not in pairs for k in P.restriction_keys(V, w, u)):
+                return False
+    return True
+
+
 def scanned_transfer_systems(P):
     """The transfer systems of P, by testing every set of non-identity
     orbits for closure under composition and base change."""
@@ -237,7 +253,7 @@ def scanned_transfer_systems(P):
     identities = {(P.star_key(V), V) for V in P.orbit_classes}
     return [TransferSystem(P, identities | set(c), check=False)
             for c in subsets(strict)
-            if _closure_violation(P, identities | set(c)) is None]
+            if transfer_conditions(P, identities | set(c))]
 
 
 def sieve_conditions(P, R, scope, pairs):
@@ -310,6 +326,20 @@ def q8_table():
 def a4_table():
     """The alternating group A_4: a 3-cycle and a double transposition."""
     return permutation_table([(1, 2, 0, 3), (1, 0, 3, 2)])
+
+
+def a5_table():
+    """The alternating group A_5: a 5-cycle and a 3-cycle."""
+    return permutation_table([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+
+
+def scanned_subgroups(G):
+    """The subgroups of a `GroupTable`, by testing every set of elements
+    that holds the identity for closure under products (a finite set closed
+    under products is closed under inverses); ordered like
+    `GroupTable.subgroups`."""
+    return [frozenset(c) for c in subsets(range(G.n))
+            if G.e in c and all(G.mul(a, b) in c for a in c for b in c)]
 
 
 def diamond_semilattice():

@@ -13,9 +13,12 @@ from windex import (
     transfer_domain, transfer_of, transfer_to_indexing, trivial_point,
 )
 from windex.enumeration import enumerate_systems
+from windex.fibrations import _transfer_rule
+from windex.poset import closure
 
 from helpers import (
-    diamond_semilattice, extensional_fold_right, s3_table, scanned_families,
+    a4_table, c6_table, diamond_semilattice, extensional_fold_right,
+    klein_table, q8_table, s3_table, scanned_families,
     scanned_transfer_systems,
 )
 
@@ -27,6 +30,10 @@ PRESENTATIONS = {
     "S3": lambda: finite_group(s3_table(), name="S3"),
     "diamond": diamond_semilattice, "C8-table": lambda: cyclic_group(2, 3),
     "point": trivial_point, "BG2": lambda: one_object_groupoid(2),
+    "C2xC2": lambda: finite_group(klein_table(), name="C2xC2"),
+    "C6": lambda: finite_group(c6_table(), name="C6"),
+    "Q8": lambda: finite_group(q8_table(), name="Q8"),
+    "A4": lambda: finite_group(a4_table(), name="A4"),
 }
 
 
@@ -35,6 +42,21 @@ def test_closed_set_enumerations_equal_subset_scans(name):
     P = PRESENTATIONS[name]()
     assert enumerate_families(P) == scanned_families(P)
     assert enumerate_transfer_systems(P) == scanned_transfer_systems(P)
+
+
+@pytest.mark.parametrize("name,cases", [("C8", 84), ("S3", 45), ("Q8", 816)])
+def test_seeded_closure_step_equals_closure_from_scratch(name, cases):
+    # a step of the closed-set walk expands only the new pair and what it
+    # brings in, never the closed set it starts from
+    P = PRESENTATIONS[name]()
+    rule = _transfer_rule(P)
+    strict = [(u, V) for V in P.orbit_classes
+              for u in P.slice_keys(V) if u != P.star_key(V)]
+    steps = [(R.strict(), x) for R in enumerate_transfer_systems(P)
+             for x in strict]
+    assert len(steps) == cases
+    for C, x in steps:
+        assert closure(rule, C, [x]) == closure(rule, (), C | {x}), (C, x)
 
 
 # -- families ------------------------------------------------------------------
@@ -112,7 +134,7 @@ def test_transfer_closure_composition(C4):
 
 
 def test_unclosed_transfer_rejected(C4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing \('e', 'C_2'\)"):
         TransferSystem(C4, [("e", "C_4")])
     with pytest.raises(ValueError):
         TransferSystem(C4, [("x", "C_4")])

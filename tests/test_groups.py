@@ -2,7 +2,10 @@ import pytest
 
 from windex.groups import GroupTable, NotAGroup
 
-from helpers import s3_table
+from helpers import (
+    a4_table, a5_table, c6_table, klein_table, q8_table, s3_table,
+    scanned_subgroups,
+)
 
 
 def test_cyclic_table_is_a_group():
@@ -54,6 +57,18 @@ def test_subgroup_generated_closure():
         H = G.subgroup_generated([g])
         assert G.e in H
         assert all(G.mul(a, b) in H for a in H for b in H)
+
+
+@pytest.mark.parametrize("table", [c6_table, s3_table, klein_table, q8_table,
+                                   a4_table],
+                         ids=["C6", "S3", "C2xC2", "Q8", "A4"])
+def test_subgroups_equal_subset_scan(table):
+    G = GroupTable(table())
+    assert G.subgroups() == scanned_subgroups(G)
+
+
+def test_a5_has_59_subgroups():
+    assert len(GroupTable(a5_table(), check=False).subgroups()) == 59
 
 
 def test_coset_reps_partition():

@@ -63,6 +63,18 @@ def test_imports_are_module_level_and_acyclic():
     assert _cycle(edges) is None, f"import cycle: {' -> '.join(_cycle(edges))}"
 
 
+def test_closure_engine_imports_no_package_module():
+    # groups, fibrations and sieves import the closure engine from poset, so
+    # it must stay a leaf for their imports to stay acyclic
+    tree = ast.parse((SRC / "poset.py").read_text())
+    assert _local_imports(tree) == set()
+    absolute = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [name for name in absolute if name.split(".")[0] == "windex"]
+
+
 def test_cycle_finder_sees_cycles():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None

@@ -56,6 +56,22 @@ def test_poset_from_covers_gives_back_the_unital_poset(n, covers):
     assert all(rebuilt.leq(i, j) == po.leq(i, j) for i in size for j in size)
 
 
+def test_poset_from_covers_takes_redundant_and_repeated_edges():
+    # the covers, every other transitive edge, and half the covers again
+    labels = [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    divisors = Poset(labels, divides)
+    covers = [(labels[i], labels[j]) for i, j in divisors.covers()]
+    edges = [(a, b) for a in labels for b in labels
+             if a != b and divides(a, b) and (a, b) not in covers]
+    edges = covers + edges[::2] + covers[::2]
+    random.Random(36).shuffle(edges)
+    rebuilt = poset_from_covers(labels, edges)
+    size = range(len(labels))
+    assert all(rebuilt.leq(i, j) == divisors.leq(i, j)
+               for i in size for j in size)
+    assert rebuilt.covers() == divisors.covers()
+
+
 def test_isomorphic():
     chain = Poset([1, 2, 4], divides)
     vee = Poset([1, 2, 3], divides)

@@ -18,9 +18,9 @@ import itertools
 from .poset import Poset
 from .presentation import TooLarge, UnsupportedBackend
 from .systems import (
-    YES, WeakIndexingSystem, f_complete, f_infinity, f_trivial,
-    f_zero, is_sparse, leq, sparse_closure, sparse_extract, sparse_member,
-    sparse_universe,
+    WeakIndexingSystem, _check_same_presentation, f_complete, f_infinity,
+    f_trivial, f_zero, is_sparse, sparse_closure, sparse_extract,
+    sparse_member, sparse_universe,
 )
 # Held here by name although the walk reaches it through `sparse_closure`:
 # perfbench's tracer test looks up `windex.enumeration.saturate`.
@@ -202,12 +202,19 @@ def _label_library(P):
     return lib
 
 
-def content_hash(W):
+def _exact_levels(W):
+    """W's sparse levels, provided they describe W exactly."""
     sp, exact = sparse_extract(W)
     if not exact:
-        raise UnsupportedBackend("only exact sparse systems are labelled")
+        raise UnsupportedBackend("only exact sparse systems are labelled "
+                                 "or ordered")
+    return sp.sparse_levels
+
+
+def content_hash(W):
+    levels = _exact_levels(W)
     text = ";".join(
-        f"{V}:" + ",".join(sorted(str(S) for S in sp.sparse_levels[V]))
+        f"{V}:" + ",".join(sorted(str(S) for S in levels[V]))
         for V in W.P.orbit_classes)
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
@@ -225,8 +232,20 @@ def system_label(W, library=None):
 
 
 def system_poset(systems, labels=None):
-    """The containment poset of a list of sparse systems."""
+    """The containment poset of a list of exact sparse systems
+    (UnsupportedBackend otherwise).  Each system is coded as one bitmask
+    over the (class, V-set) sparse members of the whole list, so that
+    containment is inclusion of masks."""
+    bits, codes = {}, {}
+    for W in systems:
+        _check_same_presentation(systems[0], W)
+        code = 0
+        for V, mem in _exact_levels(W).items():
+            for S in mem:
+                code |= 1 << bits.setdefault((V, S), len(bits))
+        codes[id(W)] = code
     if labels is None:
         library = _label_library(systems[0].P) if systems else []
         labels = [system_label(W, library) for W in systems]
-    return Poset(list(systems), lambda a, b: leq(a, b) == YES, labels=labels)
+    return Poset(list(systems), lambda a, b: codes[id(a)] & ~codes[id(b)] == 0,
+                 labels=labels)

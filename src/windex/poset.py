@@ -37,64 +37,76 @@ def closed_sets(items, rule):
     return sorted(seen, key=lambda C: (len(C), sorted(pos[x] for x in C)))
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
+    """A finite poset on `elements` in a fixed order.  Element i keeps its
+    up-set as one integer bitmask (bit j is set when i <= j) and its
+    down-set as another, so the order checks, covers and extremes are
+    O(n^2) big-integer operations."""
+
     def __init__(self, elements, leq, labels=None):
         """`elements` in a fixed order; `leq(a, b)` decides the order relation."""
         self.elements = list(elements)
         n = len(self.elements)
-        self._leq = [[bool(leq(a, b)) for b in self.elements] for a in self.elements]
+        up, down = [0] * n, [0] * n
+        for i, a in enumerate(self.elements):
+            for j, b in enumerate(self.elements):
+                if leq(a, b):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("one label per element")
+        if any(not up[i] >> i & 1 for i in range(n)):
+            raise ValueError("order is not reflexive")
+        if any(up[i] & down[i] != 1 << i for i in range(n)):
+            raise ValueError("order is not antisymmetric")
+        # transitive: the strict up-sets of the elements above i lie in
+        # up[i]; what they miss of i's strict up-set is what i is covered by
+        self._cover_masks = []
         for i in range(n):
-            if not self._leq[i][i]:
-                raise ValueError("order is not reflexive")
-            for j in range(n):
-                if i != j and self._leq[i][j] and self._leq[j][i]:
-                    raise ValueError("order is not antisymmetric")
-                for k in range(n):
-                    if self._leq[i][j] and self._leq[j][k] and not self._leq[i][k]:
-                        raise ValueError("order is not transitive")
+            strict = up[i] ^ 1 << i
+            reach = 0
+            for j in _bits(strict):
+                reach |= up[j] ^ 1 << j
+            if reach & ~up[i]:
+                raise ValueError("order is not transitive")
+            self._cover_masks.append(strict & ~reach)
+        self._up, self._down = up, down
 
     def __len__(self):
         return len(self.elements)
 
     def leq(self, i, j):
-        return self._leq[i][j]
+        return bool(self._up[i] >> j & 1)
 
     def covers(self):
         """Pairs (i, j) with i < j and nothing strictly in between."""
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self._leq[i][j]:
-                    continue
-                if any(k != i and k != j and self._leq[i][k] and self._leq[k][j]
-                       for k in range(n)):
-                    continue
-                out.append((i, j))
-        return sorted(out)
+        return [(i, j) for i, mask in enumerate(self._cover_masks)
+                for j in _bits(mask)]
 
     def bottom(self):
-        for i in range(len(self.elements)):
-            if all(self._leq[i][j] for j in range(len(self.elements))):
-                return i
-        return None
+        full = (1 << len(self.elements)) - 1
+        return next((i for i, mask in enumerate(self._up) if mask == full), None)
 
     def top(self):
-        for j in range(len(self.elements)):
-            if all(self._leq[i][j] for i in range(len(self.elements))):
-                return j
-        return None
+        full = (1 << len(self.elements)) - 1
+        return next((j for j, mask in enumerate(self._down) if mask == full), None)
 
     # -- isomorphism --------------------------------------------------------
 
     def _signatures(self):
         """Iterated refinement of node invariants; stable under isomorphism."""
         n = len(self.elements)
-        up = [frozenset(j for j in range(n) if self._leq[i][j]) for i in range(n)]
-        down = [frozenset(j for j in range(n) if self._leq[j][i]) for i in range(n)]
+        up = [list(_bits(mask)) for mask in self._up]
+        down = [list(_bits(mask)) for mask in self._down]
         sig = [(len(up[i]), len(down[i])) for i in range(n)]
         for _ in range(n):
             nxt = [(sig[i],
@@ -117,6 +129,7 @@ class Poset:
         sa, sb = self._signatures(), other._signatures()
         if sorted(sa) != sorted(sb):
             return None
+        ua, da, ub, db = self._up, self._down, other._up, other._down
         candidates = [[j for j in range(n) if sb[j] == sa[i]] for i in range(n)]
         order = sorted(range(n), key=lambda i: len(candidates[i]))
         mapping = [None] * n
@@ -132,8 +145,8 @@ class Poset:
                 j = candidates[i][tried[pos]]
                 tried[pos] += 1
                 if not used[j] and all(
-                        self._leq[i][prev] == other._leq[j][mapping[prev]]
-                        and self._leq[prev][i] == other._leq[mapping[prev]][j]
+                        (ua[i] >> prev & 1) == (ub[j] >> mapping[prev] & 1)
+                        and (da[i] >> prev & 1) == (db[j] >> mapping[prev] & 1)
                         for prev in order[:pos]):
                     mapping[i] = j
                     used[j] = True

@@ -627,23 +627,35 @@ def _generators_of(W):
     return [S for mem in sparse.values() for S in mem]
 
 
+def _sparse_leq(W1, W2):
+    return all(W1.sparse_levels[V] <= W2.sparse_levels[V]
+               for V in W1.P.orbit_classes)
+
+
 def leq(W1, W2):
     """Trivalent containment test."""
     _check_same_presentation(W1, W2)
     if W1.sparse_levels is not None and W2.sparse_levels is not None:
-        return YES if all(W1.sparse_levels[V] <= W2.sparse_levels[V]
-                          for V in W1.P.orbit_classes) else NO
+        return YES if _sparse_leq(W1, W2) else NO
     return _conjunction(W2.member(g) for g in _generators_of(W1))
 
 
 def join(W1, W2):
+    """The least system containing both; of two sparse systems, a fresh
+    copy of the larger when one contains the other, else the closure of
+    the union of their sparse members."""
     _check_same_presentation(W1, W2)
     P = W1.P
     if W1.sparse_levels is not None and W2.sparse_levels is not None:
-        gens = [S for V in P.orbit_classes
-                for S in (W1.sparse_levels[V] | W2.sparse_levels[V])]
-        return WeakIndexingSystem.from_sparse(P, sparse_closure(P, gens),
-                                              validate=False)
+        if _sparse_leq(W2, W1):
+            levels = W1.sparse_levels
+        elif _sparse_leq(W1, W2):
+            levels = W2.sparse_levels
+        else:
+            levels = sparse_closure(P, [
+                S for V in P.orbit_classes
+                for S in (W1.sparse_levels[V] | W2.sparse_levels[V])])
+        return WeakIndexingSystem.from_sparse(P, levels, validate=False)
     bounds = [W.bound for W in (W1, W2) if W.bound is not None]
     return WeakIndexingSystem.from_generators(
         P, _generators_of(W1) + _generators_of(W2),

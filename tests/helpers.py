@@ -342,6 +342,58 @@ def scanned_subgroups(G):
             if G.e in c and all(G.mul(a, b) in c for a in c for b in c)]
 
 
+class MatrixPoset:
+    """The order kept as a list-of-lists matrix of bools, with the order
+    checks, covers and extremes as plain O(n^3) loops over it: the oracle of
+    the bitmask `Poset`."""
+
+    def __init__(self, elements, leq):
+        self.elements = list(elements)
+        n = len(self.elements)
+        self._leq = [[bool(leq(a, b)) for b in self.elements] for a in self.elements]
+        for i in range(n):
+            if not self._leq[i][i]:
+                raise ValueError("order is not reflexive")
+            for j in range(n):
+                if i != j and self._leq[i][j] and self._leq[j][i]:
+                    raise ValueError("order is not antisymmetric")
+                for k in range(n):
+                    if self._leq[i][j] and self._leq[j][k] and not self._leq[i][k]:
+                        raise ValueError("order is not transitive")
+
+    def __len__(self):
+        return len(self.elements)
+
+    def leq(self, i, j):
+        return self._leq[i][j]
+
+    def covers(self):
+        """Pairs (i, j) with i < j and nothing strictly in between."""
+        n = len(self.elements)
+        out = []
+        for i in range(n):
+            for j in range(n):
+                if i == j or not self._leq[i][j]:
+                    continue
+                if any(k != i and k != j and self._leq[i][k] and self._leq[k][j]
+                       for k in range(n)):
+                    continue
+                out.append((i, j))
+        return sorted(out)
+
+    def bottom(self):
+        for i in range(len(self.elements)):
+            if all(self._leq[i][j] for j in range(len(self.elements))):
+                return i
+        return None
+
+    def top(self):
+        for j in range(len(self.elements)):
+            if all(self._leq[i][j] for i in range(len(self.elements))):
+                return j
+        return None
+
+
 def diamond_semilattice():
     """The four-element lattice 0 < a, b < 1 with a and b incomparable, as
     subsets of a two-element set meeting by intersection."""

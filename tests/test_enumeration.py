@@ -2,10 +2,10 @@
 import pytest
 
 from windex import (
-    TooLarge, UnsupportedBackend, WeakIndexingSystem, chain_group, classify,
-    cyclic_group, enumerate_transfer_systems, f_complete, f_zero,
-    finite_group, fold_left, leq, one_object_groupoid, system_label,
-    system_poset, transfer_of, trivial_point,
+    MixedPresentation, TooLarge, UnsupportedBackend, WeakIndexingSystem,
+    chain_group, classify, cyclic_group, enumerate_transfer_systems,
+    f_complete, f_zero, finite_group, fold_left, leq, one_object_groupoid,
+    system_label, system_poset, transfer_of, trivial_point,
 )
 from windex.enumeration import (
     content_hash, enumerate_systems, enumerate_systems_fiberwise,
@@ -190,6 +190,21 @@ def test_inexact_systems_have_no_label(C2):
         content_hash(W)
     with pytest.raises(UnsupportedBackend):
         system_poset([W, f_zero(C2)])
+    with pytest.raises(UnsupportedBackend):
+        system_poset([W, f_zero(C2)], labels=["a", "b"])
+
+
+def test_system_poset_refuses_mixed_presentations(C2, C4):
+    with pytest.raises(MixedPresentation):
+        system_poset([f_zero(C2), f_zero(C4)], labels=["a", "b"])
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["C8", "C16"])
+def test_system_poset_is_sparse_containment(n):
+    systems = enumerate_systems_fiberwise(chain_group(2, n))
+    po = system_poset(systems, labels=[content_hash(W) for W in systems])
+    assert all(po.leq(i, j) == (leq(Wi, Wj) == "yes")
+               for i, Wi in enumerate(systems) for j, Wj in enumerate(systems))
 
 
 def test_normalize_class_aliases():

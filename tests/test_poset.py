@@ -1,11 +1,13 @@
 """Finite posets: the order checks, extremes, covers and isomorphism."""
+import itertools
 import random
 import sys
 
 import pytest
 
-from windex import chain_group, system_poset
-from windex.enumeration import enumerate_systems_fiberwise
+from helpers import MatrixPoset, diamond_semilattice, s3_table
+from windex import chain_group, finite_group, leq, system_poset
+from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.poset import Poset, poset_from_covers
 
 
@@ -108,3 +110,78 @@ def test_isomorphic_does_not_recurse_per_element():
         sys.setrecursionlimit(limit)
     assert mapping is not None
     assert all(copy.elements[mapping[i]] // 2 == i // 2 for i in elements)
+
+
+def _relation(rng, n):
+    """A seeded relation on range(n): a random order, sometimes with one
+    pair added or removed, so that some relations fail the order checks."""
+    below = {(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < 0.3}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if (a, b) in below and (b, c) in below:
+            below.add((a, c))
+    rel = below | {(a, a) for a in range(n)}
+    flip = rng.choice([None, "add", "drop"])
+    pair = (rng.randrange(n), rng.randrange(n))
+    if flip == "add":
+        rel.add(pair)
+    elif flip == "drop":
+        rel.discard(pair)
+    return rel
+
+
+def test_order_checks_match_matrix_oracle():
+    rng = random.Random(6)
+    refused = 0
+    for _ in range(300):
+        rel = _relation(rng, 6)
+        elements = rng.sample(range(6), 6)
+
+        def order(a, b):
+            return (a, b) in rel
+
+        try:
+            oracle = MatrixPoset(elements, order)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError):
+                Poset(elements, order)
+            continue
+        po = Poset(elements, order)
+        assert po.covers() == oracle.covers()
+        assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
+    assert 0 < refused < 300
+
+
+def _unital_systems(name):
+    if name == "S3":
+        return enumerate_systems(finite_group(s3_table(), name="S3"), "unital")
+    if name == "diamond":
+        return enumerate_systems(diamond_semilattice(), "unital")
+    p, n = {"C4": (2, 2), "C9": (3, 2), "C8": (2, 3), "C16": (2, 4)}[name]
+    return enumerate_systems_fiberwise(chain_group(p, n))
+
+
+@pytest.mark.parametrize("name", ["C4", "C9", "C8", "C16", "S3", "diamond"])
+def test_bitmask_poset_matches_matrix_oracle(name):
+    systems = _unital_systems(name)
+    size = range(len(systems))
+    rel = [[leq(a, b) == "yes" for b in systems] for a in systems]
+
+    def order(i, j):
+        return rel[i][j]
+
+    shuffled = list(size)
+    random.Random(len(systems)).shuffle(shuffled)
+    posets = []
+    for elements in (list(size), shuffled):
+        po, oracle = Poset(elements, order), MatrixPoset(elements, order)
+        assert po.covers() == oracle.covers()
+        assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
+        assert all(po.leq(i, j) == oracle.leq(i, j) for i in size for j in size)
+        posets.append(po)
+    listed, copy = posets
+    mapping = listed.isomorphic(copy)
+    assert mapping is not None and sorted(mapping) == list(size)
+    assert all(listed.leq(i, j) == copy.leq(mapping[i], mapping[j])
+               for i in size for j in size)

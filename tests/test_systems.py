@@ -205,6 +205,31 @@ def test_sparse_closure_matches_saturate_on_c8_joins(C8):
             C8, [S for mem in union.values() for S in mem])
 
 
+def _join_pairs(name):
+    if name == "C8":
+        systems = enumerate_systems_fiberwise(chain_group(2, 3))
+        rng = random.Random(8)
+        return [rng.sample(systems, 2) for _ in range(40)]
+    P, which = {"C2": (chain_group(2, 1), "aE_unital"),
+                "C4": (chain_group(2, 2), "unital")}[name]
+    return list(itertools.product(enumerate_systems(P, which), repeat=2))
+
+
+@pytest.mark.parametrize("name", ["C8", "C2", "C4"],
+                         ids=["C8-pairs", "C2-aE_unital", "C4-unital"])
+def test_join_is_the_closure_of_the_union(name):
+    pairs, comparable = _join_pairs(name), 0
+    for W1, W2 in pairs:
+        P = W1.P
+        J = join(W1, W2)
+        assert J.sparse_levels == sparse_closure(P, [
+            S for V in P.orbit_classes
+            for S in W1.sparse_levels[V] | W2.sparse_levels[V]])
+        assert J is not W1 and J is not W2 and J.label is None
+        comparable += YES in (leq(W1, W2), leq(W2, W1))
+    assert 0 < comparable < len(pairs)
+
+
 @pytest.mark.parametrize("P_name", ["C2", "C4", "C9"])
 def test_sparse_closure_refuses_generators_that_are_not_ae(P_name, request):
     P = request.getfixturevalue(P_name)

@@ -80,7 +80,8 @@ def cmd_enumerate(args):
     else:
         raise SerializationError(f"unknown backend {args.backend!r}")
     cls = normalize_class(getattr(args, "class"))
-    if args.fiberwise:
+    # chains are assembled fiber by fiber unless --brute asks for the search
+    if args.fiberwise or (args.backend == "cpn" and not args.brute):
         systems = enumerate_systems_fiberwise(P, cls)
     else:
         systems = enumerate_systems(P, cls)
@@ -212,7 +213,11 @@ def build_parser():
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--class", default="aE-unital")
-    p.add_argument("--fiberwise", action="store_true")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--fiberwise", action="store_true",
+                     help="assemble fiber by fiber (the default on cpn)")
+    how.add_argument("--brute", action="store_true",
+                     help="search level by level, on cpn too")
     p.add_argument("--out")
     p.set_defaults(run=cmd_enumerate)
 

@@ -12,8 +12,10 @@ ones, and indexing systems from transfer systems.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import operator
 
 from .poset import Poset
 from .presentation import TooLarge, UnsupportedBackend
@@ -180,25 +182,23 @@ def enumerate_systems_fiberwise(P, which="unital"):
 
 
 def _label_library(P):
-    lib = []
+    """{system: display name} for the named constructions over P; where two
+    constructions give the same system, the first one listed names it."""
+    lib = {}
     families = enumerate_families(P)
     for fam in families:
         for make in (f_trivial, f_zero, f_infinity, f_complete):
-            lib.append(make(P, fam))
+            W = make(P, fam)
+            lib.setdefault(W, W.label)
     for fam in families:
         if fam and fam != frozenset(P.orbit_classes):
-            W = fold_left(P, fam)
-            W.label = f"F^0+fold[{','.join(sorted(fam))}]"
-            lib.append(W)
+            lib.setdefault(fold_left(P, fam),
+                           f"F^0+fold[{','.join(sorted(fam))}]")
     for R in enumerate_transfer_systems(P):
         if R.strict():
             tag = ",".join(f"{u}<{V}" for u, V in sorted(R.strict()))
-            W = minimal_unital(R)
-            W.label = f"F_min[{tag}]"
-            lib.append(W)
-            W = transfer_to_indexing(R)
-            W.label = f"F_max[{tag}]"
-            lib.append(W)
+            lib.setdefault(minimal_unital(R), f"F_min[{tag}]")
+            lib.setdefault(transfer_to_indexing(R), f"F_max[{tag}]")
     return lib
 
 
@@ -222,30 +222,31 @@ def content_hash(W):
 def system_label(W, library=None):
     """A stable display name: a named construction when the system equals
     one, otherwise a content hash (UnsupportedBackend unless the system's
-    sparse members describe it exactly)."""
+    sparse members describe it exactly).  `library` is `_label_library`
+    of W's presentation."""
+    _exact_levels(W)
     if library is None:
         library = _label_library(W.P)
-    for X in library:
-        if X == W:
-            return X.label
-    return f"W#{content_hash(W)}"
+    return library.get(W) or f"W#{content_hash(W)}"
 
 
 def system_poset(systems, labels=None):
     """The containment poset of a list of exact sparse systems
-    (UnsupportedBackend otherwise).  Each system is coded as one bitmask
-    over the (class, V-set) sparse members of the whole list, so that
-    containment is inclusion of masks."""
-    bits, codes = {}, {}
-    for W in systems:
+    (UnsupportedBackend otherwise).  Each sparse member S of the list has a
+    column mask, the bits of the systems holding it; a system lies below
+    exactly the systems holding all its members, so its up-set is the AND of
+    its members' columns (every system when it has no member)."""
+    columns, members = {}, []
+    for i, W in enumerate(systems):
         _check_same_presentation(systems[0], W)
-        code = 0
-        for V, mem in _exact_levels(W).items():
-            for S in mem:
-                code |= 1 << bits.setdefault((V, S), len(bits))
-        codes[id(W)] = code
+        mem = [S for level in _exact_levels(W).values() for S in level]
+        for S in mem:
+            columns[S] = columns.get(S, 0) | 1 << i
+        members.append(mem)
+    full = (1 << len(systems)) - 1
+    up = [functools.reduce(operator.and_, map(columns.__getitem__, mem), full)
+          for mem in members]
     if labels is None:
-        library = _label_library(systems[0].P) if systems else []
+        library = _label_library(systems[0].P) if systems else {}
         labels = [system_label(W, library) for W in systems]
-    return Poset(list(systems), lambda a, b: codes[id(a)] & ~codes[id(b)] == 0,
-                 labels=labels)
+    return Poset.from_up_sets(systems, up, labels=labels)

@@ -10,6 +10,7 @@ resulting maps.
 from __future__ import annotations
 
 from .poset import closed_sets, closure
+from .presentation import is_chain
 from .systems import (
     NO, YES, WeakIndexingSystem, classify, downward_closure, f_complete,
     f_trivial, f_zero, join, sparse_closure, sparse_universe,
@@ -155,8 +156,15 @@ def transfer_to_indexing(R):
 
 def minimal_unital(R):
     """The smallest unital system with the given admissible orbits (left
-    adjoint to `transfer_of`)."""
+    adjoint to `transfer_of`).
+
+    Over a chain it is read off the fibration coordinates: its fold family
+    is the one generated by the domain of R, which any unital system with
+    transfer system R folds on, and its sieve is the empty one, the least.
+    Elsewhere it is the closure of the units and the admissible orbits."""
     P = R.P
+    if is_chain(P):
+        return _chain_fiber(R, downward_closure(P, transfer_domain(R)), ())
     gens = []
     for V in P.orbit_classes:
         gens.append(P.empty_vset(V))
@@ -165,6 +173,31 @@ def minimal_unital(R):
         gens.append(P.orbit_vset(V, u))
     return WeakIndexingSystem.from_sparse(P, sparse_closure(P, gens),
                                           validate=False)
+
+
+def _chain_fiber(R, family, pairs):
+    """The unital system over a chain with transfer system R, fold family
+    `family` (which holds the domain of R), and the extra fixed points of
+    the admissible orbits `pairs` (a sieve) over the classes outside it."""
+    P = R.P
+    strict = R.strict()
+    levels = {}
+    for H in P.orbit_classes:
+        star = P.star_key(H)
+        level = {P.empty_vset(H), P.star_vset(H)}
+        admissible = [K for K, H2 in strict if H2 == H]
+        for K in admissible:
+            level.add(P.orbit_vset(H, K))
+        if H in family:
+            level.add(P.vset(H, [(star, 2)]))
+            for K in admissible:
+                level.add(P.vset(H, [(star, 1), (K, 1)]))
+        else:
+            for K, H2 in pairs:
+                if H2 == H:
+                    level.add(P.vset(H, [(star, 1), (K, 1)]))
+        levels[H] = frozenset(level)
+    return WeakIndexingSystem.from_sparse(P, levels, validate=False)
 
 
 def transfer_domain(R):

@@ -1,6 +1,14 @@
 """The closure engine; finite posets: covers, isomorphism, DOT/JSON export."""
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+
+# a mask's binary digits as bytes 0 and 1, and back
+_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 def closure(rule, closed=(), new=()):
     """The least set closed under `rule` that holds the closed set `closed`
@@ -54,31 +62,53 @@ class Poset:
     def __init__(self, elements, leq, labels=None):
         """`elements` in a fixed order; `leq(a, b)` decides the order relation."""
         self.elements = list(elements)
-        n = len(self.elements)
-        up, down = [0] * n, [0] * n
+        up = [0] * len(self.elements)
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 if leq(a, b):
                     up[i] |= 1 << j
-                    down[j] |= 1 << i
+        self._set_order(up, labels)
+
+    @classmethod
+    def from_up_sets(cls, elements, up, labels=None):
+        """The poset on `elements` in which element i lies below the
+        elements whose bits are set in the integer `up[i]`."""
+        self = cls.__new__(cls)
+        self.elements = list(elements)
+        self._set_order(list(up), labels)
+        return self
+
+    def _set_order(self, up, labels):
+        """Check the up-set masks and keep them, the down-sets and the
+        covers."""
+        n = len(self.elements)
+        if len(up) != n or any(mask >> n for mask in up):
+            raise ValueError("one up-set per element, inside the elements")
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("one label per element")
         if any(not up[i] >> i & 1 for i in range(n)):
             raise ValueError("order is not reflexive")
+        strict = [mask ^ 1 << i for i, mask in enumerate(up)]
+        # an n x n table of bytes: row i, table[i * n:(i + 1) * n], holds 1
+        # at each element strictly above i, and column j is table[j::n]
+        table = bytearray(n * n)
+        for i, mask in enumerate(strict):
+            table[i * n:(i + 1) * n] = \
+                format(mask, f"0{n}b")[::-1].encode().translate(_TO_BYTES)
+        down = [int(table[j::n][::-1].translate(_TO_DIGITS), 2) | 1 << j
+                for j in range(n)]
         if any(up[i] & down[i] != 1 << i for i in range(n)):
             raise ValueError("order is not antisymmetric")
         # transitive: the strict up-sets of the elements above i lie in
         # up[i]; what they miss of i's strict up-set is what i is covered by
         self._cover_masks = []
         for i in range(n):
-            strict = up[i] ^ 1 << i
-            reach = 0
-            for j in _bits(strict):
-                reach |= up[j] ^ 1 << j
+            reach = functools.reduce(operator.or_, itertools.compress(
+                strict, table[i * n:(i + 1) * n]), 0)
             if reach & ~up[i]:
                 raise ValueError("order is not transitive")
-            self._cover_masks.append(strict & ~reach)
+            self._cover_masks.append(strict[i] & ~reach)
         self._up, self._down = up, down
 
     def __len__(self):
@@ -186,5 +216,6 @@ def poset_from_covers(labels, cover_pairs):
     succ = [[] for _ in labels]
     for lo, hi in cover_pairs:
         succ[index[lo]].append(index[hi])
-    up = [closure(lambda j, present: succ[j], (), [i]) for i in range(len(labels))]
-    return Poset(range(len(labels)), lambda a, b: b in up[a], labels=labels)
+    up = [sum(1 << j for j in closure(lambda j, present: succ[j], (), [i]))
+          for i in range(len(labels))]
+    return Poset.from_up_sets(range(len(labels)), up, labels=labels)

@@ -43,10 +43,15 @@ class UnsupportedBackend(TypeError):
     """The operation needs structure this backend does not carry."""
 
 
+def is_chain(P):
+    """Whether P presents a cyclic p-group, whose orbits form a chain."""
+    return P.spec.get("backend") in ("chain", "cyclic")
+
+
 def require_chain(P, subject):
     """Raise UnsupportedBackend, its message opened by `subject`, unless P
     is a cyclic chain."""
-    if P.spec.get("backend") not in ("chain", "cyclic"):
+    if not is_chain(P):
         raise UnsupportedBackend(
             f"{subject} over cyclic chains, not {P.spec.get('backend')!r}")
 

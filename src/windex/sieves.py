@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from .poset import closed_sets, closure
 from .presentation import require_chain
 from .fibrations import (
-    TransferSystem, transfer_codomain, transfer_domain, transfer_of,
+    TransferSystem, _chain_fiber, transfer_codomain, transfer_domain,
+    transfer_of,
 )
-from .systems import YES, WeakIndexingSystem, classify
+from .systems import YES, classify
 
 
 class NotAdmissible(ValueError):
@@ -98,24 +99,7 @@ def fiber_from_sieve(R, family, sieve):
         raise NotAdmissible(
             f"domain {sorted(transfer_domain(R))} must fold, so the fold family "
             f"{sorted(fam)} is too small")
-    strict = R.strict()
-    levels = {}
-    for H in P.orbit_classes:
-        star = P.star_key(H)
-        level = {P.empty_vset(H), P.star_vset(H)}
-        admissible = [K for K, H2 in strict if H2 == H]
-        for K in admissible:
-            level.add(P.orbit_vset(H, K))
-        if H in fam:
-            level.add(P.vset(H, [(star, 2)]))
-            for K in admissible:
-                level.add(P.vset(H, [(star, 1), (K, 1)]))
-        else:
-            for K, H2 in sieve.pairs:
-                if H2 == H:
-                    level.add(P.vset(H, [(star, 1), (K, 1)]))
-        levels[H] = frozenset(level)
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False)
+    return _chain_fiber(R, fam, sieve.pairs)
 
 
 def fiber_systems(R, family):

@@ -5,16 +5,26 @@ of the incremental machinery of the package: closures run as plain fixpoint
 loops, group data comes from explicit permutation tables, and chain
 restrictions follow the double-coset counting formula directly.  The one
 exception is `full_saturation`, which shares the package's coproduct
-enumeration and differs from `saturate` in what indexes coproducts.
+enumeration and differs from `saturate` in what indexes coproducts.  Some
+oracles are the package's own earlier algorithms, kept here once a faster
+one replaced them: `saturated_minimal_unital`, `scanned_label` and
+`pairwise_system_poset`.
 """
 import itertools
 from collections import deque
 
-from windex.fibrations import TransferSystem, is_family, transfer_codomain
-from windex.enumeration import _size_then_members, enumerate_systems
+from windex.fibrations import (
+    TransferSystem, enumerate_families, enumerate_transfer_systems, fold_left,
+    is_family, transfer_codomain, transfer_to_indexing,
+)
+from windex.enumeration import (
+    _exact_levels, _size_then_members, content_hash, enumerate_systems,
+)
+from windex.poset import Poset
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
-    NotClosed, WeakIndexingSystem, _coproducts, f_zero, is_sparse, join,
+    NotClosed, WeakIndexingSystem, _check_same_presentation, _coproducts,
+    f_complete, f_infinity, f_trivial, f_zero, is_sparse, join,
     sparse_closure, sparse_member, sparse_universe,
 )
 
@@ -414,3 +424,62 @@ def level_sets(W):
     order-stable)."""
     return {V: sorted(str(S) for S in W.sparse_levels[V])
             for V in W.P.orbit_classes}
+
+
+def saturated_minimal_unital(R):
+    """The smallest unital system with the admissible orbits of R, by closing
+    the empty set, the point and the admissible orbits."""
+    P = R.P
+    gens = []
+    for V in P.orbit_classes:
+        gens.append(P.empty_vset(V))
+        gens.append(P.star_vset(V))
+    for u, V in sorted(R.strict()):
+        gens.append(P.orbit_vset(V, u))
+    return WeakIndexingSystem.from_sparse(P, sparse_closure(P, gens),
+                                          validate=False)
+
+
+def listed_label_library(P):
+    """The named constructions over P as a list of (system, label) pairs, in
+    the order whose first match names a system; the minimal unital systems
+    come from `saturated_minimal_unital`."""
+    lib = []
+    families = enumerate_families(P)
+    for fam in families:
+        for make in (f_trivial, f_zero, f_infinity, f_complete):
+            W = make(P, fam)
+            lib.append((W, W.label))
+    for fam in families:
+        if fam and fam != frozenset(P.orbit_classes):
+            lib.append((fold_left(P, fam), f"F^0+fold[{','.join(sorted(fam))}]"))
+    for R in enumerate_transfer_systems(P):
+        if R.strict():
+            tag = ",".join(f"{u}<{V}" for u, V in sorted(R.strict()))
+            lib.append((saturated_minimal_unital(R), f"F_min[{tag}]"))
+            lib.append((transfer_to_indexing(R), f"F_max[{tag}]"))
+    return lib
+
+
+def scanned_label(W, listed):
+    """The label of the first entry of `listed_label_library` equal to W,
+    else W's content hash."""
+    for X, label in listed:
+        if X == W:
+            return label
+    return f"W#{content_hash(W)}"
+
+
+def pairwise_system_poset(systems):
+    """The containment poset of exact sparse systems, labelled by index:
+    each system coded as one bitmask over the sparse members of the list,
+    and every ordered pair of codes compared."""
+    bits, codes = {}, []
+    for W in systems:
+        _check_same_presentation(systems[0], W)
+        code = 0
+        for V, mem in _exact_levels(W).items():
+            for S in mem:
+                code |= 1 << bits.setdefault((V, S), len(bits))
+        codes.append(code)
+    return Poset(range(len(systems)), lambda a, b: codes[a] & ~codes[b] == 0)

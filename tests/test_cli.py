@@ -55,12 +55,44 @@ def test_enumerate_fiberwise_agrees(capsys):
     assert "21 unital systems" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [[], ["--fiberwise"]],
-                         ids=["brute", "fiberwise"])
+@pytest.mark.parametrize("flags", [["--brute"], [], ["--fiberwise"]],
+                         ids=["brute", "default", "fiberwise"])
 def test_enumerate_ae_unital_height_three(flags, capsys):
     assert main(["enumerate", "--p", "2", "--n", "3",
                  "--class", "aE-unital"] + flags) == 0
     assert "152 aE_unital systems" in capsys.readouterr().out
+
+
+_CLASSES = ["aE-unital", "unital", "almost-unital", "indexing"]
+
+
+@pytest.mark.parametrize("p, n, cls", [
+    (p, n, cls) for p, n in [(2, 0), (2, 1), (2, 2), (3, 2)] for cls in _CLASSES
+] + [(2, 3, "aE-unital")])
+@pytest.mark.parametrize("ext", ["dot", "json"])
+def test_default_and_brute_write_the_same_file(p, n, cls, ext, tmp_path, capsys):
+    command = ["enumerate", "--p", str(p), "--n", str(n), "--class", cls]
+    written, summaries = [], []
+    for flags in ([], ["--brute"]):
+        path = tmp_path / f"{len(flags)}.{ext}"
+        assert main(command + flags + ["--out", str(path)]) == 0
+        written.append(path.read_bytes())
+        summaries.append(capsys.readouterr().out.splitlines()[0])
+    assert written[0] == written[1]
+    assert summaries[0] == summaries[1]
+
+
+def test_enumerate_height_four_by_default(capsys):
+    assert main(["enumerate", "--p", "2", "--n", "4", "--class", "unital"]) == 0
+    out = capsys.readouterr().out
+    assert "310 unital systems" in out and "800 cover relations" in out
+
+
+def test_fiberwise_and_brute_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--fiberwise", "--brute"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_enumerate_json_poset(tmp_path, capsys):
@@ -72,10 +104,13 @@ def test_enumerate_json_poset(tmp_path, capsys):
 
 
 def test_enumerate_point_and_bg(capsys):
-    assert main(["enumerate", "--backend", "point"]) == 0
-    assert "4 aE_unital systems" in capsys.readouterr().out
-    assert main(["enumerate", "--backend", "bg", "--p", "6"]) == 0
-    assert "4 aE_unital systems" in capsys.readouterr().out
+    for backend in (["--backend", "point"], ["--backend", "bg", "--p", "6"]):
+        for flags in ([], ["--brute"]):
+            assert main(["enumerate"] + backend + flags) == 0
+            assert "4 aE_unital systems" in capsys.readouterr().out
+        assert main(["enumerate"] + backend + ["--fiberwise"]) == 2
+        assert "sieves are only defined over cyclic chains" in \
+            capsys.readouterr().err
 
 
 def test_enumerate_unknown_class_is_bad_input(capsys):

@@ -4,17 +4,19 @@ import pytest
 from windex import (
     MixedPresentation, TooLarge, UnsupportedBackend, WeakIndexingSystem,
     chain_group, classify, cyclic_group, enumerate_transfer_systems,
-    f_complete, f_zero, finite_group, fold_left, leq, one_object_groupoid,
-    system_label, system_poset, transfer_of, trivial_point,
+    f_complete, f_infinity, f_trivial, f_zero, finite_group, fold_left, leq,
+    one_object_groupoid, system_label, system_poset, transfer_of,
+    transfer_to_indexing, trivial_point,
 )
 from windex.enumeration import (
-    content_hash, enumerate_systems, enumerate_systems_fiberwise,
-    normalize_class,
+    _label_library, content_hash, enumerate_systems,
+    enumerate_systems_fiberwise, normalize_class,
 )
 
 from helpers import (
-    a4_table, c6_table, diamond_semilattice, klein_table, q8_table, s3_table,
-    searched_indexing_systems, searched_systems,
+    a4_table, c6_table, diamond_semilattice, klein_table, listed_label_library,
+    q8_table, s3_table, scanned_label, searched_indexing_systems,
+    searched_systems,
 )
 
 
@@ -162,6 +164,29 @@ def test_labels_name_the_constructions(C2, C4):
     assert system_label(W) == "F^0+fold[e]"
     labels = [system_label(X) for X in enumerate_systems(C2, "aE_unital")]
     assert len(set(labels)) == 13
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["C8", "C16"])
+def test_labels_equal_the_library_scan(n):
+    P = chain_group(2, n)
+    library, listed = _label_library(P), listed_label_library(P)
+    systems = enumerate_systems_fiberwise(P)
+    assert [system_label(W, library) for W in systems] == \
+        [scanned_label(W, listed) for W in systems]
+    assert [system_label(X, library) for X, _ in listed] == \
+        [scanned_label(X, listed) for X, _ in listed]
+
+
+def test_the_first_of_equal_constructions_names_them(C2):
+    # on the empty family all four constructions are the empty system
+    empty = [make(C2, []) for make in (f_trivial, f_zero, f_infinity, f_complete)]
+    assert all(W == empty[0] for W in empty)
+    assert [system_label(W) for W in empty] == ["F^triv[]"] * 4
+    assert _label_library(C2)[empty[0]] == "F^triv[]"
+    # F^inf and F coincide on {e}, and F_max of the full transfer system is F
+    assert system_label(f_complete(C2, ["e"])) == "F^inf[e]"
+    full = enumerate_transfer_systems(C2)[-1]
+    assert system_label(transfer_to_indexing(full)) == "F[C_2,e]"
 
 
 def test_unnamed_systems_hash_stably(C4):

@@ -18,8 +18,8 @@ from windex.poset import closure
 
 from helpers import (
     a4_table, c6_table, diamond_semilattice, extensional_fold_right,
-    klein_table, q8_table, s3_table, scanned_families,
-    scanned_transfer_systems,
+    klein_table, q8_table, s3_table, saturated_minimal_unital,
+    scanned_families, scanned_transfer_systems,
 )
 
 
@@ -162,6 +162,32 @@ def test_transfer_galois_adjunctions(C4):
         assert (leq(minimal_unital(R), W) == YES) == (R <= fR)
         # transfer_to_indexing is right adjoint to transfer_of
         assert (leq(W, transfer_to_indexing(R)) == YES) == (fR <= R)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)],
+                         ids=["C4", "C9", "C8", "C16", "C25", "C27"])
+def test_minimal_unital_from_coordinates_equals_saturation(p, n, monkeypatch):
+    P = chain_group(p, n)
+    transfers = enumerate_transfer_systems(P)
+    expected = [saturated_minimal_unital(R) for R in transfers]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_unital saturates over a chain")
+
+    monkeypatch.setattr("windex.fibrations.sparse_closure", refuse)
+    assert [minimal_unital(R) for R in transfers] == expected
+
+
+@pytest.mark.parametrize("name", ["S3", "diamond"])
+def test_saturated_minimal_unital_is_left_adjoint_off_chains(name):
+    P = PRESENTATIONS[name]()
+    unital = enumerate_systems(P, "unital")
+    images = [transfer_of(W) for W in unital]
+    for R in enumerate_transfer_systems(P):
+        M = minimal_unital(R)
+        assert M == saturated_minimal_unital(R)
+        for W, fR in zip(unital, images):
+            assert (leq(M, W) == YES) == (R <= fR)
 
 
 def test_adjoint_units_are_identities(C4):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from helpers import MatrixPoset, diamond_semilattice, s3_table
+from helpers import (
+    MatrixPoset, diamond_semilattice, pairwise_system_poset, s3_table,
+)
 from windex import chain_group, finite_group, leq, system_poset
 from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.poset import Poset, poset_from_covers
@@ -34,6 +36,25 @@ def test_order_must_be_transitive():
     related = {(0, 1), (1, 2)}
     with pytest.raises(ValueError, match="not transitive"):
         Poset([0, 1, 2], lambda a, b: a == b or (a, b) in related)
+
+
+@pytest.mark.parametrize("up, message", [
+    ([0b10, 0b10], "not reflexive"),
+    ([0b11, 0b11], "not antisymmetric"),
+    ([0b011, 0b110, 0b100], "not transitive"),
+    ([0b01], "one up-set per element"),
+    ([0b101, 0b10], "one up-set per element"),
+    ([-1, 0b10], "one up-set per element"),
+], ids=["reflexive", "antisymmetric", "transitive", "short", "outside",
+        "negative"])
+def test_bad_up_set_masks_are_refused(up, message):
+    with pytest.raises(ValueError, match=message):
+        Poset.from_up_sets(range(2 if len(up) < 3 else 3), up)
+
+
+def test_up_set_masks_need_one_label_per_element():
+    with pytest.raises(ValueError, match="one label per element"):
+        Poset.from_up_sets([1, 2], [0b11, 0b10], labels=["one"])
 
 
 def test_bottom_and_top():
@@ -140,16 +161,21 @@ def test_order_checks_match_matrix_oracle():
         def order(a, b):
             return (a, b) in rel
 
+        up = [sum(1 << k for k, b in enumerate(elements) if order(a, b))
+              for a in elements]
         try:
             oracle = MatrixPoset(elements, order)
         except ValueError:
             refused += 1
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as called:
                 Poset(elements, order)
+            with pytest.raises(ValueError) as masked:
+                Poset.from_up_sets(elements, up)
+            assert str(masked.value) == str(called.value)
             continue
-        po = Poset(elements, order)
-        assert po.covers() == oracle.covers()
-        assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
+        for po in (Poset(elements, order), Poset.from_up_sets(elements, up)):
+            assert po.covers() == oracle.covers()
+            assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
     assert 0 < refused < 300
 
 
@@ -175,13 +201,30 @@ def test_bitmask_poset_matches_matrix_oracle(name):
     random.Random(len(systems)).shuffle(shuffled)
     posets = []
     for elements in (list(size), shuffled):
+        up = [sum(1 << k for k, b in enumerate(elements) if order(a, b))
+              for a in elements]
         po, oracle = Poset(elements, order), MatrixPoset(elements, order)
-        assert po.covers() == oracle.covers()
-        assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
-        assert all(po.leq(i, j) == oracle.leq(i, j) for i in size for j in size)
-        posets.append(po)
-    listed, copy = posets
-    mapping = listed.isomorphic(copy)
-    assert mapping is not None and sorted(mapping) == list(size)
-    assert all(listed.leq(i, j) == copy.leq(mapping[i], mapping[j])
-               for i in size for j in size)
+        masked = Poset.from_up_sets(elements, up)
+        for other in (po, masked):
+            assert other.covers() == oracle.covers()
+            assert (other.bottom(), other.top()) == (oracle.bottom(), oracle.top())
+            assert all(other.leq(i, j) == oracle.leq(i, j)
+                       for i in size for j in size)
+        posets += [po, masked]
+    for copy in posets[1:]:
+        listed = posets[0]
+        mapping = listed.isomorphic(copy)
+        assert mapping is not None and sorted(mapping) == list(size)
+        assert all(listed.leq(i, j) == copy.leq(mapping[i], mapping[j])
+                   for i in size for j in size)
+
+
+@pytest.mark.parametrize("n, covers", [(3, 162), (4, 800), (5, 3895)],
+                         ids=["C8", "C16", "C32"])
+def test_system_poset_matches_pairwise_oracle(n, covers):
+    systems = enumerate_systems_fiberwise(chain_group(2, n))
+    po = system_poset(systems, labels=[str(i) for i in range(len(systems))])
+    oracle = pairwise_system_poset(systems)
+    assert po.covers() == oracle.covers()
+    assert len(po.covers()) == covers
+    assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())

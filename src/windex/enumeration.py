@@ -84,17 +84,30 @@ def _level_ok(P, V, members, levels):
     return True
 
 
-def _size_then_members(W):
-    """Output order of the enumerations: number of sparse members, then the
-    sorted member names."""
-    levels = W.sparse_levels.values()
-    return (sum(len(mem) for mem in levels),
-            tuple(sorted(str(S) for mem in levels for S in mem)))
+class _Names(dict):
+    """{V-set: its name}, each name rendered on first lookup."""
+
+    def __missing__(self, S):
+        self[S] = name = str(S)
+        return name
+
+
+def _in_output_order(systems):
+    """The systems in the output order of the enumerations: by number of
+    sparse members, then by the sorted member names (each distinct member
+    named once per call)."""
+    names = _Names()
+
+    def size_then_members(W):
+        members = [S for level in W.sparse_levels.values() for S in level]
+        return len(members), tuple(sorted(map(names.__getitem__, members)))
+
+    return sorted(systems, key=size_then_members)
 
 
 def _indexing_systems(P):
-    return sorted(map(transfer_to_indexing, enumerate_transfer_systems(P)),
-                  key=_size_then_members)
+    return _in_output_order(
+        map(transfer_to_indexing, enumerate_transfer_systems(P)))
 
 
 def _from_unital(P, unital, which):
@@ -123,8 +136,8 @@ def _from_unital(P, unital, which):
         levels = {V: W.sparse_levels[V] if V in F else frozenset(
             [P.star_vset(V)] if V in C else []) for V in P.orbit_classes}
         out.setdefault(frozenset(levels.items()), levels)
-    return sorted((WeakIndexingSystem.from_sparse(P, lv, validate=False)
-                   for lv in out.values()), key=_size_then_members)
+    return _in_output_order(WeakIndexingSystem.from_sparse(P, lv, validate=False)
+                            for lv in out.values())
 
 
 def enumerate_systems(P, which="aE_unital"):

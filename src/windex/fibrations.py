@@ -9,6 +9,8 @@ resulting maps.
 """
 from __future__ import annotations
 
+import functools
+
 from .poset import closed_sets, closure
 from .presentation import is_chain
 from .systems import (
@@ -52,6 +54,8 @@ class TransferSystem:
         for V in P.orbit_classes:
             full.add((P.star_key(V), V))
         self.pairs = frozenset(full)
+        self._strict = frozenset((u, V) for u, V in self.pairs
+                                 if u != P.star_key(V))
         if check:
             for u, V in self.pairs:
                 if V not in P._slices or u not in P.slice_keys(V):
@@ -61,8 +65,49 @@ class TransferSystem:
                 raise ValueError(f"transfer system is not closed: missing {min(missing)}")
 
     def strict(self):
-        return frozenset((u, V) for u, V in self.pairs
-                         if u != self.P.star_key(V))
+        """The admissible orbits other than the identities."""
+        return self._strict
+
+    # What fiber assembly reads of R for every (fold family, sieve): worked
+    # out on first use and kept with R, which is immutable.
+
+    @functools.cached_property
+    def domain(self):
+        """Classes over which some admissible orbit folds: U such that
+        pulling an admissible (v, W) back along a map-class of underlying
+        class U leaves at least a double fixed point."""
+        P = self.P
+        out = set()
+        for v, W in self._strict:
+            for a in P.slice_keys(W):
+                if P.fixed_points(W, a, ((v, 1),)) >= 2:
+                    out.add(P.slice_cls(W, a))
+        return frozenset(out)
+
+    @functools.cached_property
+    def codomain(self):
+        """The family generated by the targets of the admissible orbits."""
+        return downward_closure(self.P, {V for _, V in self._strict})
+
+    @functools.cached_property
+    def _fiber_parts(self):
+        """The V-sets the unital systems over R are built from: per class H,
+        the level they all hold (the empty set, the point and the admissible
+        orbits [K]) and that level with the extras of folding at H (2*star
+        and star+[K]); and per admissible (K, H), star+[K], the extra fixed
+        point a sieve holding the pair adds at H."""
+        P = self.P
+        bare, folded, plus = {}, {}, {}
+        for H in P.orbit_classes:
+            star = P.star_key(H)
+            admissible = [K for K, H2 in self._strict if H2 == H]
+            for K in admissible:
+                plus[(K, H)] = P.vset(H, [(star, 1), (K, 1)])
+            bare[H] = frozenset([P.empty_vset(H), P.star_vset(H)]
+                                + [P.orbit_vset(H, K) for K in admissible])
+            folded[H] = bare[H].union([P.vset(H, [(star, 2)])],
+                                      [plus[(K, H)] for K in admissible])
+        return bare, folded, plus
 
     def __contains__(self, pair):
         return pair in self.pairs
@@ -178,44 +223,27 @@ def minimal_unital(R):
 def _chain_fiber(R, family, pairs):
     """The unital system over a chain with transfer system R, fold family
     `family` (which holds the domain of R), and the extra fixed points of
-    the admissible orbits `pairs` (a sieve) over the classes outside it."""
-    P = R.P
-    strict = R.strict()
-    levels = {}
-    for H in P.orbit_classes:
-        star = P.star_key(H)
-        level = {P.empty_vset(H), P.star_vset(H)}
-        admissible = [K for K, H2 in strict if H2 == H]
-        for K in admissible:
-            level.add(P.orbit_vset(H, K))
-        if H in family:
-            level.add(P.vset(H, [(star, 2)]))
-            for K in admissible:
-                level.add(P.vset(H, [(star, 1), (K, 1)]))
-        else:
-            for K, H2 in pairs:
-                if H2 == H:
-                    level.add(P.vset(H, [(star, 1), (K, 1)]))
-        levels[H] = frozenset(level)
-    return WeakIndexingSystem.from_sparse(P, levels, validate=False)
+    the admissible orbits `pairs` (a sieve) over the classes outside it.
+    Its levels are R's shared V-sets: a class keeps its bare or folded
+    level, joined by the extras of the pairs into it."""
+    bare, folded, plus = R._fiber_parts
+    levels = {H: folded[H] if H in family else bare[H] for H in bare}
+    for pair in pairs:
+        H = pair[1]
+        levels[H] = levels[H] | {plus[pair]}
+    return WeakIndexingSystem.from_sparse(R.P, levels, validate=False)
 
 
 def transfer_domain(R):
-    """Classes over which some admissible orbit folds: U such that pulling
-    an admissible (v, W) back along a map-class of underlying class U leaves
-    at least a double fixed point."""
-    P = R.P
-    out = set()
-    for v, W in R.strict():
-        for a in P.slice_keys(W):
-            if P.fixed_points(W, a, ((v, 1),)) >= 2:
-                out.add(P.slice_cls(W, a))
-    return frozenset(out)
+    """Classes over which some admissible orbit folds (`TransferSystem.domain`,
+    worked out once per R)."""
+    return R.domain
 
 
 def transfer_codomain(R):
-    P = R.P
-    return downward_closure(P, {V for _, V in R.strict()})
+    """The family generated by the targets of R's admissible orbits
+    (`TransferSystem.codomain`, worked out once per R)."""
+    return R.codomain
 
 
 def domain_codomain(R):

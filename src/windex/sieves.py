@@ -91,7 +91,8 @@ def sieve_of(W):
 
 def fiber_from_sieve(R, family, sieve):
     """The unital system with transfer system R, fold family `family`, and
-    the given sieve of extra fixed points."""
+    the given sieve of extra fixed points, which must be a sieve of R on the
+    scope the family leaves."""
     P = R.P
     require_chain(P, _CHAINS_ONLY)
     fam = frozenset(family)
@@ -99,6 +100,13 @@ def fiber_from_sieve(R, family, sieve):
         raise NotAdmissible(
             f"domain {sorted(transfer_domain(R))} must fold, so the fold family "
             f"{sorted(fam)} is too small")
+    if sieve.R != R:
+        raise NotAdmissible(f"the sieve belongs to {sieve.R!r}, not {R!r}")
+    scope = transfer_codomain(R) - fam
+    if sieve.scope != scope:
+        raise NotAdmissible(
+            f"the sieve lies on {sorted(sieve.scope)}, but the fold family "
+            f"{sorted(fam)} leaves {sorted(scope)}")
     return _chain_fiber(R, fam, sieve.pairs)
 
 
@@ -113,7 +121,8 @@ def fiber_systems(R, family):
     fam = frozenset(family)
     if not transfer_domain(R) <= fam:
         return []
-    return [fiber_from_sieve(R, fam, s) for s in enumerate_sieves(R, fam)]
+    # the sieves of R on the scope `fam` leaves: fiber_from_sieve's checks hold
+    return [_chain_fiber(R, fam, s.pairs) for s in enumerate_sieves(R, fam)]
 
 
 def transport_sieve(sieve, R2, family2):

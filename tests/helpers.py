@@ -7,8 +7,8 @@ restrictions follow the double-coset counting formula directly.  The one
 exception is `full_saturation`, which shares the package's coproduct
 enumeration and differs from `saturate` in what indexes coproducts.  Some
 oracles are the package's own earlier algorithms, kept here once a faster
-one replaced them: `saturated_minimal_unital`, `scanned_label` and
-`pairwise_system_poset`.
+one replaced them: `saturated_minimal_unital`, `scanned_label`,
+`pairwise_system_poset` and `per_sieve_fiber_systems`.
 """
 import itertools
 from collections import deque
@@ -17,14 +17,15 @@ from windex.fibrations import (
     TransferSystem, enumerate_families, enumerate_transfer_systems, fold_left,
     is_family, transfer_codomain, transfer_to_indexing,
 )
+from windex.sieves import NotAdmissible, enumerate_sieves
 from windex.enumeration import (
-    _exact_levels, _size_then_members, content_hash, enumerate_systems,
+    _exact_levels, _in_output_order, content_hash, enumerate_systems,
 )
 from windex.poset import Poset
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
     NotClosed, WeakIndexingSystem, _check_same_presentation, _coproducts,
-    f_complete, f_infinity, f_trivial, f_zero, is_sparse, join,
+    downward_closure, f_complete, f_infinity, f_trivial, f_zero, is_sparse, join,
     sparse_closure, sparse_member, sparse_universe,
 )
 
@@ -223,7 +224,7 @@ def searched_systems(P, which):
         levels[V] = frozenset()
 
     walk(0, {V: frozenset() for V in classes})
-    return sorted(out, key=_size_then_members)
+    return _in_output_order(out)
 
 
 def subsets(items):
@@ -483,3 +484,59 @@ def pairwise_system_poset(systems):
                 code |= 1 << bits.setdefault((V, S), len(bits))
         codes.append(code)
     return Poset(range(len(systems)), lambda a, b: codes[a] & ~codes[b] == 0)
+
+
+def recomputed_transfer_domain(R):
+    """The classes over which some admissible orbit of R folds, worked out
+    from R's pairs on every call."""
+    P = R.P
+    out = set()
+    for v, W in R.pairs:
+        if v == P.star_key(W):
+            continue
+        for a in P.slice_keys(W):
+            if P.fixed_points(W, a, ((v, 1),)) >= 2:
+                out.add(P.slice_cls(W, a))
+    return frozenset(out)
+
+
+def recomputed_transfer_codomain(R):
+    """The family generated by the targets of R's non-identity pairs."""
+    P = R.P
+    return downward_closure(
+        P, {V for u, V in R.pairs if u != P.star_key(V)})
+
+
+def per_sieve_fiber(R, family, sieve):
+    """The unital chain system of (R, family, sieve), the domain of R
+    recomputed and each level built from V-sets made afresh."""
+    P = R.P
+    fam = frozenset(family)
+    if not recomputed_transfer_domain(R) <= fam:
+        raise NotAdmissible("the domain of R must fold")
+    levels = {}
+    for H in P.orbit_classes:
+        star = P.star_key(H)
+        level = {P.empty_vset(H), P.star_vset(H)}
+        admissible = [K for K, H2 in R.pairs if H2 == H and K != star]
+        for K in admissible:
+            level.add(P.orbit_vset(H, K))
+        if H in fam:
+            level.add(P.vset(H, [(star, 2)]))
+            for K in admissible:
+                level.add(P.vset(H, [(star, 1), (K, 1)]))
+        else:
+            for K, H2 in sieve.pairs:
+                if H2 == H:
+                    level.add(P.vset(H, [(star, 1), (K, 1)]))
+        levels[H] = frozenset(level)
+    return WeakIndexingSystem.from_sparse(P, levels, validate=False)
+
+
+def per_sieve_fiber_systems(R, family):
+    """The fiber over (R, family) one sieve at a time, each system built by
+    `per_sieve_fiber`; empty when the domain of R does not fold."""
+    fam = frozenset(family)
+    if not recomputed_transfer_domain(R) <= fam:
+        return []
+    return [per_sieve_fiber(R, fam, s) for s in enumerate_sieves(R, fam)]

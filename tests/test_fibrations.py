@@ -18,7 +18,8 @@ from windex.poset import closure
 
 from helpers import (
     a4_table, c6_table, diamond_semilattice, extensional_fold_right,
-    klein_table, q8_table, s3_table, saturated_minimal_unital,
+    klein_table, q8_table, recomputed_transfer_codomain,
+    recomputed_transfer_domain, s3_table, saturated_minimal_unital,
     scanned_families, scanned_transfer_systems,
 )
 
@@ -207,6 +208,29 @@ def test_transfer_domain_codomain(C4):
     assert transfer_codomain(R1) == frozenset(["e", "C_2"])
     assert transfer_codomain(R2) == frozenset(C4.orbit_classes)
     assert transfer_codomain(R3) == frozenset(C4.orbit_classes)
+
+
+@pytest.mark.parametrize("name", ["C8", "S3", "diamond"])
+def test_transfer_system_keeps_its_facts(name):
+    P = PRESENTATIONS[name]()
+    systems = enumerate_transfer_systems(P)
+    for R in systems:
+        assert R.strict() is R.strict()
+        assert R.strict() == frozenset(
+            (u, V) for u, V in R.pairs if u != P.star_key(V))
+        assert transfer_domain(R) is R.domain
+        assert transfer_domain(R) == recomputed_transfer_domain(R)
+        assert transfer_codomain(R) is R.codomain
+        assert transfer_codomain(R) == recomputed_transfer_codomain(R)
+        # equality and hash stay by content, with or without kept facts
+        assert hash(R) == hash((P.key, R.pairs))
+        for same in (transfer_closure(P, R.strict()),
+                     TransferSystem(P, R.strict(), check=True)):
+            assert "domain" not in vars(same)
+            assert same == R and hash(same) == hash(R)
+            assert same.strict() == R.strict()
+            assert same.domain == R.domain and same.codomain == R.codomain
+        assert sum(S == R for S in systems) == 1
 
 
 def test_domain_is_fold_family_of_minimal_system(C4):

@@ -4,15 +4,18 @@ import itertools
 import pytest
 
 from windex import (
-    NotAdmissible, Sieve, TransferSystem, UnsupportedBackend, YES,
-    chain_group, cocartesian_transport, cyclic_group, enumerate_families,
+    NotAdmissible, Sieve, TransferSystem, UnsupportedBackend,
+    NotClosed, WeakIndexingSystem, YES, chain_group, cocartesian_transport, cyclic_group, enumerate_families,
     enumerate_sieves, enumerate_transfer_systems, f_infinity, fiber_from_sieve,
-    fiber_systems, finite_group, is_sieve, leq, sieve_of, transfer_codomain,
-    transfer_domain, transfer_of, transport_sieve,
+    fiber_systems, finite_group, is_sieve, leq, sieve_of, transfer_closure,
+    transfer_codomain, transfer_domain, transfer_of, transport_sieve,
 )
 from windex.enumeration import enumerate_systems
 
-from helpers import s3_table, scanned_sieves, sieve_conditions, subsets
+from helpers import (
+    per_sieve_fiber, per_sieve_fiber_systems, s3_table, scanned_sieves,
+    sieve_conditions, subsets,
+)
 
 
 FIBER_TABLE = [
@@ -104,6 +107,67 @@ def test_fiber_trichotomy(C4):
     assert fiber_systems(R0, every) == [f_infinity(C4)]
     with pytest.raises(NotAdmissible):
         fiber_from_sieve(R2, ["e"], Sieve(R2, frozenset(), frozenset()))
+
+
+def test_fiber_from_sieve_refuses_sieves_of_other_fibers(C4):
+    # every sieve of an admissible (R, F) pair, tried with every such pair:
+    # it fits when it is a sieve of R on the scope F leaves
+    admissible = [(R, F) for R in enumerate_transfer_systems(C4)
+                  for F in enumerate_families(C4) if transfer_domain(R) <= F]
+    sieves = [s for R, F in admissible for s in enumerate_sieves(R, F)]
+    refused = 0
+    for (R, F), s in itertools.product(admissible, sieves):
+        if s.R == R and s.scope == transfer_codomain(R) - F:
+            W = fiber_from_sieve(R, F, s)
+            assert W == per_sieve_fiber(R, F, s)
+            WeakIndexingSystem.from_sparse(C4, W.sparse_levels, validate=True)
+        else:
+            with pytest.raises(NotAdmissible):
+                fiber_from_sieve(R, F, s)
+            refused += 1
+    assert (len(admissible), len(sieves), refused) == (14, 21, 259)
+
+
+def test_fiber_from_sieve_refuses_a_sieve_of_a_smaller_transfer(C4):
+    # {(C_2, C_4)} is a sieve of C_2<C_4 on {C_4}, the scope {e, C_2} also
+    # leaves for the transfer system holding e<C_2; there it lacks e<C_4,
+    # and the levels it would give are not closed
+    R = transfer_closure(C4, [("C_2", "C_4"), ("e", "C_2")])
+    small = transfer_closure(C4, [("C_2", "C_4")])
+    sieve = Sieve(small, frozenset(["C_4"]), frozenset([("C_2", "C_4")]))
+    family = ["e", "C_2"]
+    with pytest.raises(NotAdmissible, match="belongs to"):
+        fiber_from_sieve(R, family, sieve)
+    with pytest.raises(NotClosed):
+        WeakIndexingSystem.from_sparse(
+            C4, per_sieve_fiber(R, family, sieve).sparse_levels, validate=True)
+    with pytest.raises(NotAdmissible, match="lies on"):
+        fiber_from_sieve(R, ["e", "C_2", "C_4"],
+                         Sieve(R, frozenset(["C_4"]), frozenset()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: chain_group(3, 2),
+    lambda: chain_group(2, 3), lambda: chain_group(2, 4),
+    lambda: chain_group(5, 2), lambda: chain_group(2, 5),
+], ids=["C4", "C9", "C8", "C16", "C25", "C32"])
+def test_fiber_systems_equal_the_per_sieve_path(make):
+    P = make()
+    for R in enumerate_transfer_systems(P):
+        for fam in enumerate_families(P):
+            assert fiber_systems(R, fam) == per_sieve_fiber_systems(R, fam), \
+                (R, fam)
+
+
+def test_every_c8_fiber_system_validates(C8):
+    count = 0
+    for R in enumerate_transfer_systems(C8):
+        for fam in enumerate_families(C8):
+            for W in fiber_systems(R, fam):
+                WeakIndexingSystem.from_sparse(C8, W.sparse_levels,
+                                               validate=True)
+                count += 1
+    assert count == 79
 
 
 def test_sieve_of_round_trips(C4):

@@ -4,11 +4,12 @@ import itertools
 import pytest
 
 from windex import (
-    NotAdmissible, Sieve, TransferSystem, UnsupportedBackend,
-    NotClosed, WeakIndexingSystem, YES, chain_group, cocartesian_transport, cyclic_group, enumerate_families,
-    enumerate_sieves, enumerate_transfer_systems, f_infinity, fiber_from_sieve,
-    fiber_systems, finite_group, is_sieve, leq, sieve_of, transfer_closure,
-    transfer_codomain, transfer_domain, transfer_of, transport_sieve,
+    NotAdmissible, NotClosed, Sieve, TransferSystem, UnsupportedBackend,
+    WeakIndexingSystem, YES, chain_group, cocartesian_transport, cyclic_group,
+    enumerate_families, enumerate_sieves, enumerate_transfer_systems,
+    f_infinity, fiber_from_sieve, fiber_systems, finite_group, is_sieve, leq,
+    sieve_of, transfer_closure, transfer_codomain, transfer_domain,
+    transfer_of, transport_sieve,
 )
 from windex.enumeration import enumerate_systems
 
@@ -129,9 +130,10 @@ def test_fiber_from_sieve_refuses_sieves_of_other_fibers(C4):
 
 
 def test_fiber_from_sieve_refuses_a_sieve_of_a_smaller_transfer(C4):
-    # {(C_2, C_4)} is a sieve of C_2<C_4 on {C_4}, the scope {e, C_2} also
-    # leaves for the transfer system holding e<C_2; there it lacks e<C_4,
-    # and the levels it would give are not closed
+    # {(C_2, C_4)} is a sieve of C_2<C_4 on {C_4}.  The family {e, C_2}
+    # leaves the same scope for R = C_2<C_4, e<C_2, e<C_4, but a sieve of R
+    # holding (C_2, C_4) holds (e, C_4) too, and without it the levels are
+    # not closed
     R = transfer_closure(C4, [("C_2", "C_4"), ("e", "C_2")])
     small = transfer_closure(C4, [("C_2", "C_4")])
     sieve = Sieve(small, frozenset(["C_4"]), frozenset([("C_2", "C_4")]))

@@ -84,23 +84,15 @@ def _level_ok(P, V, members, levels):
     return True
 
 
-class _Names(dict):
-    """{V-set: its name}, each name rendered on first lookup."""
-
-    def __missing__(self, S):
-        self[S] = name = str(S)
-        return name
-
-
 def _in_output_order(systems):
     """The systems in the output order of the enumerations: by number of
     sparse members, then by the sorted member names (each distinct member
     named once per call)."""
-    names = _Names()
+    name = functools.lru_cache(maxsize=None)(str)
 
     def size_then_members(W):
         members = [S for level in W.sparse_levels.values() for S in level]
-        return len(members), tuple(sorted(map(names.__getitem__, members)))
+        return len(members), tuple(sorted(map(name, members)))
 
     return sorted(systems, key=size_then_members)
 

@@ -54,8 +54,8 @@ class TransferSystem:
         for V in P.orbit_classes:
             full.add((P.star_key(V), V))
         self.pairs = frozenset(full)
-        self._strict = frozenset((u, V) for u, V in self.pairs
-                                 if u != P.star_key(V))
+        self._strict = self.pairs - {(P.star_key(V), V) for V in P.orbit_classes}
+        self._chain_parts = None    # filled by `_chain_fiber` on first use
         if check:
             for u, V in self.pairs:
                 if V not in P._slices or u not in P.slice_keys(V):
@@ -68,14 +68,10 @@ class TransferSystem:
         """The admissible orbits other than the identities."""
         return self._strict
 
-    # What fiber assembly reads of R for every (fold family, sieve): worked
-    # out on first use and kept with R, which is immutable.
+    # Worked out on first use and kept with R, which is immutable.
 
     @functools.cached_property
-    def domain(self):
-        """Classes over which some admissible orbit folds: U such that
-        pulling an admissible (v, W) back along a map-class of underlying
-        class U leaves at least a double fixed point."""
+    def _domain(self):
         P = self.P
         out = set()
         for v, W in self._strict:
@@ -85,29 +81,8 @@ class TransferSystem:
         return frozenset(out)
 
     @functools.cached_property
-    def codomain(self):
-        """The family generated by the targets of the admissible orbits."""
+    def _codomain(self):
         return downward_closure(self.P, {V for _, V in self._strict})
-
-    @functools.cached_property
-    def _fiber_parts(self):
-        """The V-sets the unital systems over R are built from: per class H,
-        the level they all hold (the empty set, the point and the admissible
-        orbits [K]) and that level with the extras of folding at H (2*star
-        and star+[K]); and per admissible (K, H), star+[K], the extra fixed
-        point a sieve holding the pair adds at H."""
-        P = self.P
-        bare, folded, plus = {}, {}, {}
-        for H in P.orbit_classes:
-            star = P.star_key(H)
-            admissible = [K for K, H2 in self._strict if H2 == H]
-            for K in admissible:
-                plus[(K, H)] = P.vset(H, [(star, 1), (K, 1)])
-            bare[H] = frozenset([P.empty_vset(H), P.star_vset(H)]
-                                + [P.orbit_vset(H, K) for K in admissible])
-            folded[H] = bare[H].union([P.vset(H, [(star, 2)])],
-                                      [plus[(K, H)] for K in admissible])
-        return bare, folded, plus
 
     def __contains__(self, pair):
         return pair in self.pairs
@@ -226,7 +201,9 @@ def _chain_fiber(R, family, pairs):
     the admissible orbits `pairs` (a sieve) over the classes outside it.
     Its levels are R's shared V-sets: a class keeps its bare or folded
     level, joined by the extras of the pairs into it."""
-    bare, folded, plus = R._fiber_parts
+    if R._chain_parts is None:
+        R._chain_parts = _chain_fiber_parts(R)
+    bare, folded, plus = R._chain_parts
     levels = {H: folded[H] if H in family else bare[H] for H in bare}
     for pair in pairs:
         H = pair[1]
@@ -234,16 +211,37 @@ def _chain_fiber(R, family, pairs):
     return WeakIndexingSystem.from_sparse(R.P, levels, validate=False)
 
 
+def _chain_fiber_parts(R):
+    """The V-sets `_chain_fiber` builds the unital systems over R from: per
+    class H, the level they all hold (the empty set, the point and the
+    admissible orbits [K]) and that level with the extras of folding at H
+    (2*star and star+[K]); and per admissible (K, H), star+[K], the extra
+    fixed point a sieve holding the pair adds at H."""
+    P = R.P
+    bare, folded, plus = {}, {}, {}
+    for H in P.orbit_classes:
+        star = P.star_key(H)
+        admissible = [K for K, H2 in R.strict() if H2 == H]
+        for K in admissible:
+            plus[(K, H)] = P.vset(H, [(star, 1), (K, 1)])
+        bare[H] = frozenset([P.empty_vset(H), P.star_vset(H)]
+                            + [P.orbit_vset(H, K) for K in admissible])
+        folded[H] = bare[H].union([P.vset(H, [(star, 2)])],
+                                  [plus[(K, H)] for K in admissible])
+    return bare, folded, plus
+
+
 def transfer_domain(R):
-    """Classes over which some admissible orbit folds (`TransferSystem.domain`,
-    worked out once per R)."""
-    return R.domain
+    """Classes over which some admissible orbit folds: U such that pulling
+    an admissible (v, W) back along a map-class of underlying class U leaves
+    at least a double fixed point (worked out once per R)."""
+    return R._domain
 
 
 def transfer_codomain(R):
-    """The family generated by the targets of R's admissible orbits
-    (`TransferSystem.codomain`, worked out once per R)."""
-    return R.codomain
+    """The family generated by the targets of R's admissible orbits (worked
+    out once per R)."""
+    return R._codomain
 
 
 def domain_codomain(R):

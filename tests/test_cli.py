@@ -193,6 +193,14 @@ def test_fiber_mismatched_presentations(tmp_path, capsys):
     assert main(["fiber", "--R", r, "--family", fam]) == 2
 
 
+def test_fiber_transfer_naming_unknown_class(tmp_path, capsys):
+    r = _write(tmp_path, "r.json", {**transfer_to_obj(TransferSystem(C4, [])),
+                                    "pairs": [["e", "C_99"]]})
+    fam = _write(tmp_path, "fam.json", family_to_obj(C4, ["e"]))
+    assert main(["fiber", "--R", r, "--family", fam]) == 2
+    assert "not an orbit" in capsys.readouterr().err
+
+
 # -- transport -------------------------------------------------------------------
 
 

@@ -139,6 +139,8 @@ def test_unclosed_transfer_rejected(C4):
         TransferSystem(C4, [("e", "C_4")])
     with pytest.raises(ValueError):
         TransferSystem(C4, [("x", "C_4")])
+    with pytest.raises(ValueError, match="not an orbit"):
+        TransferSystem(C4, [("e", "C_99")])
 
 
 def test_transfer_of_named_systems(C4):
@@ -218,18 +220,19 @@ def test_transfer_system_keeps_its_facts(name):
         assert R.strict() is R.strict()
         assert R.strict() == frozenset(
             (u, V) for u, V in R.pairs if u != P.star_key(V))
-        assert transfer_domain(R) is R.domain
+        assert transfer_domain(R) is transfer_domain(R)
         assert transfer_domain(R) == recomputed_transfer_domain(R)
-        assert transfer_codomain(R) is R.codomain
+        assert transfer_codomain(R) is transfer_codomain(R)
         assert transfer_codomain(R) == recomputed_transfer_codomain(R)
         # equality and hash stay by content, with or without kept facts
         assert hash(R) == hash((P.key, R.pairs))
         for same in (transfer_closure(P, R.strict()),
                      TransferSystem(P, R.strict(), check=True)):
-            assert "domain" not in vars(same)
+            assert "_domain" not in vars(same)
             assert same == R and hash(same) == hash(R)
             assert same.strict() == R.strict()
-            assert same.domain == R.domain and same.codomain == R.codomain
+            assert transfer_domain(same) == transfer_domain(R)
+            assert transfer_codomain(same) == transfer_codomain(R)
         assert sum(S == R for S in systems) == 1
 
 

@@ -84,6 +84,9 @@ def test_transfer_round_trip(C4):
     with pytest.raises(SerializationError):
         transfer_from_obj({"kind": "transfer", "presentation": C4.spec,
                            "pairs": [["e", "C_4"]]})  # not closed
+    with pytest.raises(SerializationError, match="not an orbit"):
+        transfer_from_obj({"kind": "transfer", "presentation": C4.spec,
+                           "pairs": [["e", "C_99"]]})  # unknown class
 
 
 def test_family_round_trip(C4):
@@ -105,6 +108,10 @@ def test_sieve_round_trip(C4):
     broken = sieve_to_obj(sv)
     broken["pairs"] = [["e", "C_4"]]  # missing the middle level
     with pytest.raises(SerializationError):
+        sieve_from_obj(broken)
+    broken = sieve_to_obj(sv)
+    broken["transfer"] = [["e", "C_99"]]  # unknown class
+    with pytest.raises(SerializationError, match="not an orbit"):
         sieve_from_obj(broken)
 
 

@@ -5,7 +5,7 @@ from .presentation import (
     InvalidSpec, MismatchedIndex, NoSuchMap, OrbitalPresentation, TooLarge,
     UnsupportedBackend, VSet, build_presentation, chain_group, cyclic_group,
     finite_group, indexed_coproduct, meet_semilattice, one_object_groupoid,
-    restrict_vset, trivial_point, validate_presentation,
+    trivial_point, validate_presentation,
 )
 from .gsets import (
     ConcreteGSet, coinduce_concrete, concretize, indexed_product,
@@ -22,7 +22,7 @@ from .systems import (
 )
 from .fibrations import (
     NotUnital, TargetNotAbove, TransferSystem, cocartesian_transport,
-    color_left, color_right, domain_codomain, enumerate_families,
+    color_left, color_right, enumerate_families,
     enumerate_transfer_systems, fold_left, fold_right, is_family,
     minimal_unital, transfer_closure, transfer_codomain, transfer_domain,
     transfer_of, transfer_to_indexing, unit_left,

@@ -244,10 +244,6 @@ def transfer_codomain(R):
     return R._codomain
 
 
-def domain_codomain(R):
-    return transfer_domain(R), transfer_codomain(R)
-
-
 # -- adjoints of the family maps ------------------------------------------
 
 

@@ -14,7 +14,9 @@ def closure(rule, closed=(), new=()):
     """The least set closed under `rule` that holds the closed set `closed`
     and the items `new`.  `rule(x, present)` lists what x brings in, given
     the items present; each item is expanded once, when it arrives, so a rule
-    on pairs sees every pair, and the items of `closed` are not expanded."""
+    on pairs sees every pair, and the items of `closed` are not expanded.
+    For the same reason a rule may keep the items it has expanded so far and
+    combine each new one with those alone (`systems.saturate` does)."""
     out = set(closed)
     todo = list(set(new) - out)
     out.update(todo)

@@ -95,10 +95,6 @@ class VSet:
     def support(self):
         return tuple(k for k, _ in self.orbits)
 
-    def size(self):
-        """Number of orbits, counted with multiplicity."""
-        return sum(m for _, m in self.orbits)
-
     def expand(self):
         """Orbit keys listed with multiplicity, in canonical order."""
         return tuple(k for k, m in self.orbits for _ in range(m))
@@ -327,10 +323,6 @@ class OrbitalPresentation:
 
 
 # -- spec'd operation names ----------------------------------------------
-
-
-def restrict_vset(P, f, S):
-    return P.restrict(f, S)
 
 
 def align_components(S, T):

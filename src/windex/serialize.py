@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .presentation import build_presentation
-from .systems import WeakIndexingSystem
+from .systems import WeakIndexingSystem, is_sparse
 from .fibrations import TransferSystem, is_family
 from .sieves import Sieve
 from .reps import RepDescriptor
@@ -96,6 +96,9 @@ def system_from_obj(obj, validate=False):
         levels = {}
         for V in P.orbit_classes:
             levels[V] = frozenset(vset_from_obj(P, o) for o in raw.get(V, []))
+            for S in levels[V]:
+                if S.over != V or not is_sparse(P, S):
+                    raise SerializationError(f"level {V}: {S} is not a sparse {V}-set")
         extra = set(raw) - set(P.orbit_classes)
         if extra:
             raise SerializationError(f"levels at unknown classes {sorted(extra)}")

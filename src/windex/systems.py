@@ -22,11 +22,12 @@ Equality and hashing go by content, whatever the backing (see
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from . import gsets
+from .poset import closure
 from .presentation import VSet, UnsupportedBackend, sub_multisets
 
 YES = "yes"
@@ -66,11 +67,9 @@ def is_sparse(P, S):
     star = P.star_key(V)
     if S.orbits == ((star, 2),):
         return True
-    if S.mult(star) > 1:
+    if any(m > 1 for _, m in S.orbits):
         return False
-    nonterminal = [k for k, m in S.orbits if k != star]
-    if any(m > 1 for k, m in S.orbits if k != star):
-        return False
+    nonterminal = [k for k, _ in S.orbits if k != star]
     for a, b in itertools.combinations(nonterminal, 2):
         if P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a):
             return False
@@ -107,44 +106,86 @@ def downward_closure(P, classes):
 # -- saturation -------------------------------------------------------------
 
 
-def _coproducts(P, S, levels, bound):
-    """Self-indexed coproducts over S with components from `levels`,
-    total size at most `bound`."""
+def _coproducts(P, S, pools, bound, must=None):
+    """Self-indexed coproducts over S, total size at most `bound`, with
+    components from `pools` (class -> list of (points, member), ascending).
+    With `must`, only those with `must` as a component, each choice of
+    component multisets once: the first slot of must's class holding it takes
+    one copy first, and the earlier slots of that class choose without it."""
     V = S.over
-    per_key = []
-    for k, m in S.orbits:
-        weight = P.slice_points(V, k)
-        # (points the component adds, component), cheapest first
-        pool = sorted((weight * P.points(T), T)
-                      for T in levels[P.slice_cls(V, k)])
-        if not pool:
-            return
-        per_key.append((k, m, pool))
+    slots = [(k, m, P.slice_points(V, k), P.slice_cls(V, k))
+             for k, m in S.orbits]
+    if any(not pools[cls] for *_, cls in slots):
+        return
 
-    def walk(i, acc, budget):
-        if i == len(per_key):
+    def walk(copies, i, start, acc, budget):
+        # one component per orbit copy; the copies of a key choose a multiset
+        if i == len(copies):
             yield acc
             return
-        k, m, pool = per_key[i]
+        k, weight, pool = copies[i]
+        again = i + 1 < len(copies) and copies[i + 1][0] == k
+        for j in range(start, len(pool)):
+            cost = weight * pool[j][0]
+            if cost > budget:
+                break
+            yield from walk(copies, i + 1, j if again else 0,
+                            acc + P.induct_vset(V, k, pool[j][1]), budget - cost)
 
-        def choose(count, start, acc2, budget2):
-            if count == 0:
-                yield from walk(i + 1, acc2, budget2)
-                return
-            for j in range(start, len(pool)):
-                cost, T = pool[j]
-                if cost > budget2:
-                    break
-                yield from choose(count - 1, j, acc2 + P.induct_vset(V, k, T),
-                                  budget2 - cost)
-        yield from choose(m, 0, acc, budget)
+    if must is None:
+        yield from walk([(k, w, pools[c]) for k, m, w, c in slots for _ in range(m)],
+                        0, 0, P.empty_vset(V), bound)
+        return
+    without = [entry for entry in pools[must.over] if entry[1] != must]
+    for i, (k, _, weight, cls) in enumerate(slots):
+        cost = weight * P.points(must)
+        if cls == must.over and cost <= bound:
+            yield from walk([(k2, w2, without if c2 == cls and j < i else pools[c2])
+                             for j, (k2, m2, w2, c2) in enumerate(slots)
+                             for _ in range(m2 - (j == i))],
+                            0, 0, P.induct_vset(V, k, must), bound - cost)
 
-    yield from walk(0, P.empty_vset(V), bound)
+
+def _saturation_rule(P, bound, sparse_indexed, escape):
+    """The rule `saturate` closes under.  A member S brings in the point at
+    its class, its restrictions, its sparse reduced set and pieces when it
+    does not index coproducts, and the coproducts within `bound` over S or,
+    with S as a component, over an indexing set expanded earlier; `escape`
+    runs on each new one.  The rule keeps the members and indexing sets it
+    has expanded: `poset.closure` expands each item once, so each coproduct
+    is built once, when the last of its parts is expanded (semi-naive)."""
+    pools = {V: [] for V in P.orbit_classes}
+    indexing = {V: [] for V in P.orbit_classes}
+
+    def brought_in(S):
+        V = S.over
+        yield P.star_vset(V)
+        for w in P.slice_keys(V):
+            yield P.restrict(w, S)
+        bisect.insort(pools[V], (P.points(S), S))
+        for T in indexing[V]:
+            yield from _coproducts(P, T, pools, bound, must=S)
+        if sparse_indexed and not is_sparse(P, S):
+            d = sparse_decompose(P, S)
+            yield from (d.reduced, *d.pieces)
+            return
+        for W in {P.slice_cls(V, k) for k, _ in S.orbits}:
+            indexing[W].append(S)
+        yield from _coproducts(P, S, pools, bound)
+
+    def rule(S, present):
+        for T in brought_in(S):
+            if T not in present and P.points(T) <= bound:
+                if escape is not None and escape(T):
+                    raise _Escaped
+                yield T
+    return rule
 
 
 def saturate(P, gens, bound, escape=None):
     """Close the generators under restriction, units, and self-indexed
-    coproducts, keeping every member of at most `bound` points.
+    coproducts, keeping every member of at most `bound` points: the
+    `poset.closure` of the generators under `_saturation_rule`.
 
     Returns a dict orbit class -> frozenset of members.  The result is the
     full set of members of that size whenever `bound` also covers the
@@ -176,56 +217,21 @@ def saturate(P, gens, bound, escape=None):
        recursion `sparse_member` runs) every coproduct is reached by
        coproducts indexed by sparse members.
     """
-    gens = list(gens)
+    gens = list(dict.fromkeys(gens))
     fam = _generator_families(P, gens)
-    sparse_indexed = fam["eps"] == fam["unit"]
-    levels = {V: set() for V in P.orbit_classes}
-    pending = deque()
-    dirty = set()
-    by_component_class = {V: set() for V in P.orbit_classes}
-
-    def add(S):
-        if P.points(S) > bound:
-            return
-        if S in levels[S.over]:
-            return
-        if escape is not None and escape(S):
-            raise _Escaped
-        levels[S.over].add(S)
-        indexes = not sparse_indexed or is_sparse(P, S)
-        pending.append((S, indexes))
-        for T in by_component_class[S.over]:
-            dirty.add(T)
-        if indexes:
-            dirty.add(S)
-            for k, _ in S.orbits:
-                by_component_class[P.slice_cls(S.over, k)].add(S)
-
+    rule = _saturation_rule(P, bound, fam["eps"] == fam["unit"], escape)
     try:
         for g in gens:
             if P.points(g) > bound:
                 raise BoundTooSmall(
                     f"generator with {P.points(g)} points exceeds bound {bound}")
-            add(g)
-        while pending or dirty:
-            while pending:
-                S, indexes = pending.popleft()
-                V = S.over
-                add(P.star_vset(V))
-                for w in P.slice_keys(V):
-                    add(P.restrict(w, S))
-                if not indexes:
-                    d = sparse_decompose(P, S)
-                    add(d.reduced)
-                    for piece in d.pieces:
-                        add(piece)
-            batch, dirty = dirty, set()
-            for S in sorted(batch):
-                for result in _coproducts(P, S, levels, bound):
-                    add(result)
+            if escape is not None and escape(g):
+                raise _Escaped
+        members = closure(rule, (), gens)
     except _Escaped:
         return None
-    return {V: frozenset(mem) for V, mem in levels.items()}
+    return {V: frozenset(S for S in members if S.over == V)
+            for V in P.orbit_classes}
 
 
 def sparse_part(P, levels):
@@ -447,10 +453,9 @@ class WeakIndexingSystem:
         if validate:
             for V, mem in full.items():
                 for S in mem:
-                    if S.over != V:
-                        raise NotClosed(f"{S} filed under level {V!r}", witness=S)
-                    if not is_sparse(P, S):
-                        raise NotClosed(f"{S} is not sparse", witness=S)
+                    if S.over != V or not is_sparse(P, S):
+                        raise NotClosed(f"level {V}: {S} is not a sparse {V}-set",
+                                        witness=S)
             # refuses data that is not almost essentially unital first
             got = sparse_closure(P, [S for mem in full.values() for S in mem])
             for V in P.orbit_classes:

@@ -4,10 +4,10 @@ Everything here recomputes expected values from first principles, with none
 of the incremental machinery of the package: closures run as plain fixpoint
 loops, group data comes from explicit permutation tables, and chain
 restrictions follow the double-coset counting formula directly.  The one
-exception is `full_saturation`, which shares the package's coproduct
-enumeration and differs from `saturate` in what indexes coproducts.  Some
-oracles are the package's own earlier algorithms, kept here once a faster
-one replaced them: `saturated_minimal_unital`, `scanned_label`,
+exception is `full_saturation`, the worklist `saturate` ran before it became
+a rule of `poset.closure`, which shares the package's coproduct enumeration
+(without `must`).  Some oracles are the package's own earlier algorithms,
+kept here once a faster one replaced them: `saturated_minimal_unital`, `scanned_label`,
 `pairwise_system_poset` and `per_sieve_fiber_systems`.
 """
 import itertools
@@ -64,10 +64,12 @@ def naive_closure(P, gens, bound):
 def full_saturation(P, gens, bound):
     """Close the generators under units, restriction, and self-indexed
     coproducts with every member indexing them, keeping members of at most
-    `bound` points: the worklist `saturate` runs on generators that are not
-    almost essentially unital, here whatever the generators, so that its
-    sparse-indexed path has an oracle fast enough for C_8, S_3 and the
-    diamond."""
+    `bound` points: the worklist `saturate` ran before it became a rule of
+    `poset.closure`, kept as its oracle, here with every member indexing
+    whatever the generators, so that the sparse-indexed path has an oracle
+    fast enough for C_8, S_3 and the diamond.  It shares `_coproducts` with
+    `saturate` only without `must`: each round re-enumerates every coproduct
+    over the indexing sets a new member touches."""
     levels = {V: set() for V in P.orbit_classes}
     pending = deque()
     dirty = set()
@@ -92,10 +94,17 @@ def full_saturation(P, gens, bound):
             for w in P.slice_keys(S.over):
                 add(P.restrict(w, S))
         batch, dirty = dirty, set()
+        pools = coproduct_pools(P, levels)
         for S in sorted(batch):
-            for result in _coproducts(P, S, levels, bound):
+            for result in _coproducts(P, S, pools, bound):
                 add(result)
     return {V: frozenset(mem) for V, mem in levels.items()}
+
+
+def coproduct_pools(P, levels):
+    """`levels` as the component pools `_coproducts` takes: per class, the
+    members as (points, member), fewest points first."""
+    return {V: sorted((P.points(S), S) for S in mem) for V, mem in levels.items()}
 
 
 def _component_choices(P, V, S, levels, bound):

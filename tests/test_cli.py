@@ -320,9 +320,13 @@ def test_sparse_documents_are_checked_on_load(tmp_path, capsys, shape, command):
     argv = {"validate": ["validate", bad], "join": ["join", good, bad],
             "hull": ["hull", bad],
             "transport": ["transport", "--map", "fold", "--to", fam, bad]}
-    assert main(argv[command]) == 1
+    out_of_shape = shape != "not-closed"   # malformed, not merely unclosed
+    assert main(argv[command]) == (2 if out_of_shape else 1)
     out = capsys.readouterr()
-    if command == "validate":
+    if out_of_shape:
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+    elif command == "validate":
         assert out.out.startswith("not closed: ")
     else:
         assert out.out == ""

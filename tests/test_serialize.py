@@ -44,15 +44,24 @@ def test_predicate_system_not_serializable(C2):
 
 def test_system_document_shape_checked(C2):
     obj = system_to_obj(f_zero(C2))
+
+    def with_member(level, vset):
+        return {**obj, "levels": {**obj["levels"],
+                                  level: obj["levels"][level] + [vset]}}
+
     for broken in (
         {**obj, "form": "mystery"},
         {k: v for k, v in obj.items() if k != "form"},
         {**obj, "presentation": {"backend": "chain"}},
         {**obj, "levels": {**obj["levels"], "bogus": []}},
         {**obj, "kind": "transfer"},
+        # a C_2-set filed under level e, and three points, which are not sparse
+        with_member("e", {"over": "C_2", "orbits": [["C_2", 1]]}),
+        with_member("C_2", {"over": "C_2", "orbits": [["C_2", 3]]}),
     ):
-        with pytest.raises(SerializationError):
-            system_from_obj(broken)
+        for validate in (False, True):
+            with pytest.raises(SerializationError):
+                system_from_obj(broken, validate=validate)
 
 
 def test_document_shapes_checked(C4):

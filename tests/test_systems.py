@@ -19,10 +19,13 @@ from windex import (
 from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.presentation import VSet
 from windex.serialize import system_from_obj, system_to_obj
-from windex.systems import families_of_levels, sparse_closure
+from windex.systems import (
+    _coproducts, _generator_families, families_of_levels, sparse_closure,
+)
 
 from helpers import (
-    diamond_semilattice, full_saturation, naive_closure, s3_table,
+    _component_choices, a4_table, coproduct_pools, diamond_semilattice,
+    full_saturation, naive_closure, s3_table,
 )
 
 
@@ -104,12 +107,12 @@ def test_sparse_decompose_roundtrip_s3(S):
 
 
 def _gen_cases(P):
+    bottom, top = P.orbit_classes[0], P.orbit_classes[-1]
     return [
-        [P.vset("e", [(P.star_key("e"), 2)])],
-        [P.star_vset(P.orbit_classes[-1]) + P.orbit_vset(P.orbit_classes[-1],
-                                                         "e")],
-        [P.empty_vset(V) for V in P.orbit_classes] + [P.star_vset("e")],
-        [P.orbit_vset(P.orbit_classes[-1], P.orbit_classes[-2])],
+        [P.vset(bottom, [(P.star_key(bottom), 2)])],
+        [P.star_vset(top) + P.orbit_vset(top, bottom)],
+        [P.empty_vset(V) for V in P.orbit_classes] + [P.star_vset(bottom)],
+        [P.orbit_vset(top, P.orbit_classes[-2])],
     ]
 
 
@@ -272,13 +275,71 @@ def test_saturate_of_ae_generators_matches_naive(P_name, request):
             assert full_saturation(P, gens, bound) == expected
 
 
-@pytest.mark.parametrize("P_name", [
-    "C4", pytest.param("C9", marks=pytest.mark.slow)])
-def test_saturate_of_ae_generators_matches_full_indexing(P_name, request):
-    P = request.getfixturevalue(P_name)
-    for gens in _ae_generator_sets(P):
+def _gen_cases_not_ae(P):
+    """The generator sets of `_gen_cases` that are not almost essentially
+    unital."""
+    fams = ((gens, _generator_families(P, gens)) for gens in _gen_cases(P))
+    return [gens for gens, fam in fams if fam["eps"] != fam["unit"]]
+
+
+@pytest.mark.parametrize("make, gen_sets", [
+    (lambda: chain_group(2, 2), _ae_generator_sets),
+    pytest.param(lambda: chain_group(3, 2), _ae_generator_sets,
+                 marks=pytest.mark.slow),
+    (lambda: S3, _gen_cases_not_ae),
+    (diamond_semilattice, _gen_cases_not_ae),
+], ids=["C4", "C9", "S3-not-aE", "diamond-not-aE"])
+def test_saturate_matches_full_indexing(make, gen_sets):
+    # aE generators index coproducts by their sparse members only; the
+    # others by every member, like the oracle
+    P = make()
+    cases = gen_sets(P)
+    assert cases
+    for gens in cases:
         for bound in _least_bounds(P, gens):
             assert saturate(P, gens, bound) == full_saturation(P, gens, bound)
+
+
+def _choices(P, T, levels, bound):
+    """Component choice -> its coproduct over T, one choice per multiset of
+    components at each orbit key: the tuples of `_component_choices`, with
+    the components at each key sorted."""
+    keys = T.expand()
+    out = {}
+    for combo in _component_choices(P, T.over, T, levels, bound):
+        choice = tuple(sorted(zip(keys, combo)))
+        out[choice] = indexed_coproduct(P, T, [c for _, c in choice])
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: chain_group(2, 3), lambda: S3,
+    diamond_semilattice, lambda: finite_group(a4_table(), name="A4"),
+], ids=["C4", "C8", "S3", "diamond", "A4"])
+def test_coproducts_split_on_a_required_component(make):
+    # semi-naive evaluation: the coproducts with S as a component, each
+    # choice once, and the coproducts of the pools without S make up all of
+    # them, each choice once; over A_4 three slice keys of the Klein four
+    # class share the class of C_2
+    P = make()
+    top = P.orbit_classes[-1]
+    for gens in _gen_cases(P) + [[P.orbit_vset(top, P.orbit_classes[1])]]:
+        bound = _least_bounds(P, gens)[0]
+        levels = saturate(P, gens, bound)
+        pools = coproduct_pools(P, levels)
+        members = [S for mem in levels.values() for S in mem]
+        for T in members:
+            choices = _choices(P, T, levels, bound)
+            every = list(_coproducts(P, T, pools, bound))
+            assert sorted(every) == sorted(choices.values())
+            for S in members:
+                held = list(_coproducts(P, T, pools, bound, must=S))
+                assert sorted(held) == sorted(
+                    U for choice, U in choices.items()
+                    if S in (c for _, c in choice)), (T, S)
+                rest = list(_coproducts(P, T, coproduct_pools(P, {
+                    V: mem - {S} for V, mem in levels.items()}), bound))
+                assert sorted(held + rest) == sorted(every), (T, S)
 
 
 def test_saturate_matches_naive_on_s3():

@@ -59,8 +59,12 @@ def _group_presentation(name):
 
 def _write_or_print(text, out, note=""):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SerializationError(
+                f"cannot write {out}: {exc.strerror or exc}") from exc
         print(f"wrote {out}{note}")
     else:
         sys.stdout.write(text)

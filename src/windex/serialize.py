@@ -1,15 +1,17 @@
 """JSON round-tripping for presentations, V-sets, systems, and fibration data.
 
 Every document embeds the presentation spec it lives over, so files are
-self-contained; loaders rebuild the presentation and check the document's
-shape, raising SerializationError on anything malformed.
+self-contained; loaders rebuild the presentation (once per distinct spec in a
+process) and check the document's shape, raising SerializationError on
+anything malformed.  Documents are written as compact JSON with sorted keys.
 """
 from __future__ import annotations
 
+import functools
 import json
 
 from .presentation import build_presentation
-from .systems import WeakIndexingSystem, is_sparse
+from .systems import WeakIndexingSystem, _check_closed, is_sparse
 from .fibrations import TransferSystem, is_family
 from .sieves import Sieve
 from .reps import RepDescriptor
@@ -17,6 +19,11 @@ from .reps import RepDescriptor
 
 class SerializationError(ValueError):
     pass
+
+
+# what a malformed document makes the builders and `P.vset` raise; any other
+# exception is a fault in the package and propagates
+_MALFORMED = (ValueError, KeyError, TypeError, IndexError)
 
 
 def _need(obj, key, kind):
@@ -45,9 +52,17 @@ def _name_pairs(value, what):
 def _presentation_of(obj, kind):
     spec = _need(obj, "presentation", kind)
     try:
-        return build_presentation(spec)
-    except Exception as exc:
+        return _presentation(json.dumps(spec, sort_keys=True))
+    except _MALFORMED as exc:
         raise SerializationError(f"bad presentation spec: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=16)
+def _presentation(text):
+    """The presentation of a spec's canonical JSON text, built once: systems
+    loaded from one spec share it (presentations compare by `key` and keep
+    only lazy caches).  A bad spec raises, and nothing is cached."""
+    return build_presentation(json.loads(text))
 
 
 def vset_to_obj(S):
@@ -59,7 +74,7 @@ def vset_from_obj(P, obj):
     orbits = _need(obj, "orbits", "V-set")
     try:
         return P.vset(over, [(k, m) for k, m in orbits])
-    except Exception as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"bad V-set {obj!r}: {exc}") from exc
 
 
@@ -102,8 +117,12 @@ def system_from_obj(obj, validate=False):
         extra = set(raw) - set(P.orbit_classes)
         if extra:
             raise SerializationError(f"levels at unknown classes {sorted(extra)}")
-        return WeakIndexingSystem.from_sparse(P, levels, validate=validate,
-                                              label=label)
+        # each V-set was checked above; `validate` adds only the closure
+        W = WeakIndexingSystem.from_sparse(P, levels, validate=False,
+                                           label=label)
+        if validate:
+            _check_closed(P, W.sparse_levels)
+        return W
     if form == "generated":
         raw = _need(obj, "generators", "system")
         bound = obj.get("bound")
@@ -192,10 +211,13 @@ def _check_kind(obj, expected):
 
 
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # no indent: with one, json falls back to its pure-Python encoder
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def dump(obj, path):
+    # one write of the whole text: json.dump would stream through the
+    # pure-Python encoder
     with open(path, "w") as fh:
         fh.write(dumps(obj))
 
@@ -206,5 +228,8 @@ def load(path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise SerializationError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SerializationError(
+            f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"{path} is not valid JSON: {exc}") from exc

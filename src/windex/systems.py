@@ -363,6 +363,19 @@ def sparse_closure(P, gens, escape=None):
     return None if closed is None else sparse_part(P, closed)
 
 
+def _check_closed(P, levels):
+    """Raise NotClosed unless the sparse V-sets `levels` (one frozenset per
+    class of P) are exactly the sparse members of the system they generate;
+    data that is not almost essentially unital is refused first."""
+    got = sparse_closure(P, [S for mem in levels.values() for S in mem])
+    for V in P.orbit_classes:
+        extra = got[V] - levels[V]
+        if extra:
+            raise NotClosed(
+                f"sparse data is not closed: level {V!r} also "
+                f"generates {sorted(extra)[0]}", witness=sorted(extra)[0])
+
+
 def _generator_families(P, gens):
     return families_of_levels(
         P, {V: {S for S in gens if S.over == V} for V in P.orbit_classes})
@@ -456,14 +469,7 @@ class WeakIndexingSystem:
                     if S.over != V or not is_sparse(P, S):
                         raise NotClosed(f"level {V}: {S} is not a sparse {V}-set",
                                         witness=S)
-            # refuses data that is not almost essentially unital first
-            got = sparse_closure(P, [S for mem in full.values() for S in mem])
-            for V in P.orbit_classes:
-                extra = got[V] - full[V]
-                if extra:
-                    raise NotClosed(
-                        f"sparse data is not closed: level {V!r} also "
-                        f"generates {sorted(extra)[0]}", witness=sorted(extra)[0])
+            _check_closed(P, full)
         return cls(P, sparse_levels=full, label=label)
 
     @classmethod

@@ -146,6 +146,19 @@ def test_validate_bad_inputs(tmp_path, capsys):
     assert main(["validate", wrong]) == 2
 
 
+def test_unreadable_and_unwritable_paths_are_bad_input(tmp_path, capsys):
+    """A directory given as input or as --out exits 2 with an error line."""
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+    w = _write(tmp_path, "w.json", system_to_obj(f_zero(C2)))
+    assert main(["join", w, w, "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {tmp_path}")
+    assert main(["enumerate", "--p", "2", "--n", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
+
+
 # -- join ------------------------------------------------------------------------
 
 

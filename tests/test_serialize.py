@@ -1,14 +1,17 @@
 """JSON round trips for every document kind."""
+import json
+
 import pytest
 
+from helpers import diamond_semilattice, s3_table
 from windex import (
-    SerializationError, Sieve, TransferSystem, WeakIndexingSystem, dump,
-    dumps, f_zero, family_from_obj, family_to_obj, load, named_rep,
-    rep_from_obj, rep_to_obj, sieve_from_obj, sieve_to_obj, system_from_obj,
-    system_to_obj, transfer_from_obj, transfer_to_obj, vset_from_obj,
-    vset_to_obj,
+    NotClosed, SerializationError, Sieve, TransferSystem, WeakIndexingSystem,
+    chain_group, dump, dumps, f_zero, family_from_obj, family_to_obj,
+    finite_group, load, named_rep, rep_from_obj, rep_to_obj, serialize,
+    sieve_from_obj, sieve_to_obj, system_from_obj, system_to_obj,
+    transfer_from_obj, transfer_to_obj, vset_from_obj, vset_to_obj,
 )
-from windex.enumeration import enumerate_systems
+from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.systems import f_perp_nu
 
 
@@ -149,3 +152,95 @@ def test_dumps_is_stable(C2):
     a = dumps(system_to_obj(f_zero(C2)))
     b = dumps(system_to_obj(f_zero(C2)))
     assert a == b and a.endswith("\n")
+
+
+def _through_text(objs, validate=False):
+    return [system_from_obj(o, validate=validate)
+            for o in json.loads(dumps(objs))]
+
+
+@pytest.mark.parametrize("systems, validate", [
+    (lambda: enumerate_systems_fiberwise(chain_group(2, 4), "unital"), False),
+    (lambda: enumerate_systems(finite_group(s3_table(), name="S3"),
+                               "indexing"), True),
+    (lambda: enumerate_systems(diamond_semilattice(), "indexing"), True),
+], ids=["C16-unital", "S3-indexing", "diamond-indexing"])
+def test_lists_round_trip_in_order(systems, validate):
+    systems = systems()
+    again = _through_text([system_to_obj(W) for W in systems], validate)
+    assert again == systems  # same order too
+    assert all(A.P.key == W.P.key for A, W in zip(again, systems))
+
+
+def test_one_presentation_per_spec(C4, C8):
+    fours = _through_text([system_to_obj(W)
+                           for W in enumerate_systems_fiberwise(C4, "unital")])
+    eights = _through_text([system_to_obj(W)
+                            for W in enumerate_systems_fiberwise(C8, "unital")])
+    assert len({id(W.P) for W in fours}) == 1
+    assert len({id(W.P) for W in eights}) == 1
+    assert fours[0].P is not eights[0].P
+    assert (fours[0].P.key, eights[0].P.key) == (C4.key, C8.key)
+    # other document kinds share it too
+    R = transfer_from_obj(transfer_to_obj(TransferSystem(C4, [("e", "C_2")])))
+    assert R.P is fours[0].P
+
+
+def test_bad_spec_refused_on_every_load(C2):
+    obj = {**system_to_obj(f_zero(C2)),
+           "presentation": {"backend": "chain", "p": 4, "n": 1}}
+    cached = serialize._presentation.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(SerializationError, match="bad presentation spec"):
+            system_from_obj(obj)
+    assert serialize._presentation.cache_info().currsize == cached
+
+
+def test_validate_runs_the_closure_on_load(C4):
+    obj = system_to_obj(f_zero(C4))
+    obj["levels"]["C_4"].append({"over": "C_4", "orbits": [["e", 1]]})
+    assert system_from_obj(obj).form == "sparse"   # each V-set is sparse
+    with pytest.raises(NotClosed, match="not closed"):
+        system_from_obj(obj, validate=True)
+
+
+def test_internal_faults_are_not_passed_off_as_bad_input(monkeypatch):
+    """Only what malformed documents raise becomes SerializationError."""
+    P = chain_group(2, 1)
+    obj = system_to_obj(f_zero(P))
+
+    def broken(*args):
+        raise RuntimeError("internal fault")
+
+    serialize._presentation.cache_clear()
+    monkeypatch.setattr("windex.serialize.build_presentation", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        system_from_obj(obj)
+    monkeypatch.undo()
+    monkeypatch.setattr(P, "vset", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        vset_from_obj(P, vset_to_obj(P.star_vset("e")))
+
+
+def test_dumps_is_compact_json_with_sorted_keys(C4):
+    R = TransferSystem(C4, [("e", "C_2")])
+    for x in (system_to_obj(f_zero(C4)), [transfer_to_obj(R)],
+              {"b": 1, "a": [1, {"d": 2.5, "c": None}], "e": "\u00e9"}):
+        assert dumps(x) == json.dumps(x, sort_keys=True) + "\n"
+        assert json.loads(dumps(x)) == x
+
+
+def test_indented_documents_still_load(C4, tmp_path):
+    W = enumerate_systems_fiberwise(C4, "unital")[-1]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(system_to_obj(W), sort_keys=True, indent=2) + "\n")
+    assert system_from_obj(load(path), validate=True) == W
+
+
+def test_unreadable_paths_are_bad_input(tmp_path):
+    with pytest.raises(SerializationError, match="cannot read"):
+        load(tmp_path)   # a directory
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SerializationError, match="not valid JSON"):
+        load(binary)

@@ -79,10 +79,8 @@ def cmd_enumerate(args):
         P = chain_group(args.p, args.n)
     elif args.backend == "point":
         P = trivial_point()
-    elif args.backend == "bg":
+    else:    # "bg": argparse refuses any other backend
         P = one_object_groupoid(args.p)
-    else:
-        raise SerializationError(f"unknown backend {args.backend!r}")
     cls = normalize_class(getattr(args, "class"))
     # chains are assembled fiber by fiber unless --brute asks for the search
     if args.fiberwise or (args.backend == "cpn" and not args.brute):

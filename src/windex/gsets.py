@@ -145,21 +145,18 @@ def concretize(P, S):
 
 
 def orbit_decompose(P, X, over):
-    """Decompose a concrete H-set into a V-set, H the canonical subgroup."""
-    G = require_group(P)
-    H = P.class_rep[over]
-    if X.subgroup != H:
+    """Decompose a concrete H-set into a V-set, H the canonical subgroup: an
+    orbit is the slice orbit whose key its points' stabilizers (H-conjugate
+    to one another) have."""
+    require_group(P)
+    if X.subgroup != P.class_rep[over]:
         raise MismatchedIndex(
             f"expected an action of the canonical subgroup for {over!r}")
+    keys = P.subgroup_key[over]
     acc = {}
     for orbit in X.orbits():
-        stab = X.stabilizer(orbit[0])
-        for key in P.slice_keys(over):
-            if G.subgroups_conjugate(stab, P.slice_rep[(over, key)], H):
-                acc[key] = acc.get(key, 0) + 1
-                break
-        else:
-            raise ValueError("stabilizer matches no slice orbit")
+        key = keys[X.stabilizer(orbit[0])]
+        acc[key] = acc.get(key, 0) + 1
     return VSet(over, tuple(sorted(acc.items())))
 
 

@@ -131,7 +131,7 @@ def sub_multisets(S):
 class OrbitalPresentation:
     def __init__(self, key, spec, orbit_classes, slices, star, cls_of, points,
                  restriction, induction, group=None, class_rep=None, slice_rep=None,
-                 conjugator=None):
+                 subgroup_key=None, conjugator=None):
         self.key = key
         self.spec = spec
         self.orbit_classes = tuple(orbit_classes)
@@ -144,11 +144,13 @@ class OrbitalPresentation:
         self._ind = dict(induction)
         # optional concrete group data, for the point-level oracles:
         # class_rep[V] is a canonical subgroup in the conjugacy class V,
-        # slice_rep[(V, k)] a subgroup of class_rep[V] in the class k, and
-        # conjugator[(V, k)] an element g with g K g^-1 = class_rep[cls k].
+        # slice_rep[(V, k)] a subgroup of class_rep[V] in the class k,
+        # subgroup_key[V][K] the slice key of each subgroup K of class_rep[V],
+        # and conjugator[(V, k)] an element g with g K g^-1 = class_rep[cls k].
         self.group = group
         self.class_rep = dict(class_rep) if class_rep else None
         self.slice_rep = dict(slice_rep) if slice_rep else None
+        self.subgroup_key = dict(subgroup_key) if subgroup_key else None
         self.conjugator = dict(conjugator) if conjugator else None
         self._slice_hom_cache = {}
         self._slice_pres_cache = {}
@@ -184,6 +186,8 @@ class OrbitalPresentation:
         for k, m in items:
             if (over, k) not in self._cls:
                 raise InvalidSpec(f"unknown slice orbit {k!r} over {over!r}")
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise InvalidSpec(f"multiplicity {m!r} is not an integer")
             if m < 0:
                 raise InvalidSpec("negative multiplicity")
             if m:
@@ -520,12 +524,14 @@ def chain_group(p, n):
     group = GroupTable.cyclic(order)
     class_rep = {labels[k]: frozenset(range(0, order, p ** (n - k))) for k in range(n + 1)}
     slice_rep = {(V, k): class_rep[k] for V in labels for k in slices[V]}
+    subgroup_key = {V: {class_rep[k]: k for k in slices[V]} for V in labels}
     conjugator = {pair: 0 for pair in slice_rep}
     return OrbitalPresentation(
         key=f"chain:p={p},n={n}", spec={"backend": "chain", "p": p, "n": n},
         orbit_classes=labels, slices=slices, star=star, cls_of=cls_of,
         points=points, restriction=res, induction=ind,
-        group=group, class_rep=class_rep, slice_rep=slice_rep, conjugator=conjugator)
+        group=group, class_rep=class_rep, slice_rep=slice_rep,
+        subgroup_key=subgroup_key, conjugator=conjugator)
 
 
 def finite_group(table, name="G", labeler=None):
@@ -544,16 +550,19 @@ def finite_group(table, name="G", labeler=None):
     everything = frozenset(range(G.n))
     subs = G.subgroups()
 
-    # G-conjugacy classes of subgroups, with canonical representatives.
-    classes = []
-    placed = set()
-    for H in subs:
-        if H in placed:
-            continue
-        orbit = {G.conj_subgroup(g, H) for g in range(G.n)}
-        placed |= orbit
-        classes.append(min(orbit, key=lambda A: sorted(A)))
-    classes.sort(key=lambda A: (len(A), sorted(A)))
+    def classes_under(acting, pool):
+        """Conjugacy classes of the subgroups in `pool` under conjugation by
+        the elements `acting`: each subgroup's representative (its least
+        conjugate), and the representatives by size, then elements."""
+        rep = {}
+        for K in pool:
+            if K not in rep:
+                orbit = {G.conj_subgroup(g, K) for g in acting}
+                least = min(orbit, key=sorted)
+                rep.update((J, least) for J in orbit)
+        return rep, sorted(set(rep.values()), key=lambda A: (len(A), sorted(A)))
+
+    g_rep, classes = classes_under(range(G.n), subs)
 
     if labeler is None:
         def labeler(H, i=[0]):
@@ -570,48 +579,33 @@ def finite_group(table, name="G", labeler=None):
             raise InvalidSpec(f"duplicate orbit label {lab!r}")
         label_of_rep[H] = lab
 
-    def g_class_rep(K):
-        return min((G.conj_subgroup(g, K) for g in range(G.n)), key=lambda A: sorted(A))
-
     orbit_classes = [label_of_rep[H] for H in classes]
     rep_of_label = {lab: H for H, lab in label_of_rep.items()}
 
+    # subgroup_key[V] sends each subgroup of H = class_rep[V] to its slice
+    # key: the H-conjugacy class it lies in
     slices, star, cls_of, points, slice_rep, conjugator = {}, {}, {}, {}, {}, {}
+    subgroup_key = {}
     for H in classes:
         V = label_of_rep[H]
-        inside = [K for K in subs if K <= H]
-        h_classes = []
-        seen = set()
-        for K in inside:
-            if K in seen:
-                continue
-            orbit = {G.conj_subgroup(h, K) for h in H}
-            seen |= orbit
-            h_classes.append(min(orbit, key=lambda A: sorted(A)))
-        h_classes.sort(key=lambda A: (len(A), sorted(A)))
+        h_rep, h_classes = classes_under(H, [K for K in subs if K <= H])
         by_global = {}
         for K in h_classes:
-            by_global.setdefault(label_of_rep[g_class_rep(K)], []).append(K)
-        keys = []
+            by_global.setdefault(label_of_rep[g_rep[K]], []).append(K)
+        key_of = {}
         for K in h_classes:
-            glab = label_of_rep[g_class_rep(K)]
+            glab = label_of_rep[g_rep[K]]
             family = by_global[glab]
             key = glab if len(family) == 1 else f"{glab}#{family.index(K)}"
-            keys.append(key)
+            key_of[K] = key
             cls_of[(V, key)] = glab
             points[(V, key)] = len(H) // len(K)
             slice_rep[(V, key)] = K
             K0 = rep_of_label[glab]
             conjugator[(V, key)] = next(g for g in range(G.n) if G.conj_subgroup(g, K) == K0)
-        slices[V] = tuple(keys)
-        star[V] = keys[[slice_rep[(V, k)] for k in keys].index(H)]
-
-    def key_of_subgroup(V, J):
-        """The slice key over V whose representative is H-conjugate to J."""
-        for k in slices[V]:
-            if G.subgroups_conjugate(J, slice_rep[(V, k)], rep_of_label[V]):
-                return k
-        raise InvalidSpec(f"subgroup not found over {V}")
+        slices[V] = tuple(key_of.values())
+        star[V] = key_of[H]
+        subgroup_key[V] = {K: key_of[r] for K, r in h_rep.items()}
 
     res, ind = {}, {}
     for V in orbit_classes:
@@ -619,30 +613,28 @@ def finite_group(table, name="G", labeler=None):
         for w in slices[V]:
             L = slice_rep[(V, w)]
             gw = conjugator[(V, w)]
-            Wcls = cls_of[(V, w)]
+            keys = subgroup_key[cls_of[(V, w)]]
             for u in slices[V]:
                 K = slice_rep[(V, u)]
                 acc = {}
                 for h in G.double_coset_reps(L, H, K):
-                    piece = L & G.conj_subgroup(h, K)
-                    key = key_of_subgroup(Wcls, G.conj_subgroup(gw, piece))
+                    key = keys[G.conj_subgroup(gw, L & G.conj_subgroup(h, K))]
                     acc[key] = acc.get(key, 0) + 1
                 res[(V, w, u)] = tuple(sorted(acc.items()))
         for u in slices[V]:
-            K = slice_rep[(V, u)]
-            gu = conjugator[(V, u)]
+            gu_inv = G.inv(conjugator[(V, u)])
             Ucls = cls_of[(V, u)]
             for x in slices[Ucls]:
-                J0 = slice_rep[(Ucls, x)]
-                J = G.conj_subgroup(G.inv(gu), J0)
-                ind[(V, u, x)] = key_of_subgroup(V, J)
+                J = G.conj_subgroup(gu_inv, slice_rep[(Ucls, x)])
+                ind[(V, u, x)] = subgroup_key[V][J]
 
     class_rep = {label_of_rep[H]: H for H in classes}
     return OrbitalPresentation(
         key=f"group:{name}", spec={"backend": "group", "table": [list(r) for r in G.table], "name": name},
         orbit_classes=orbit_classes, slices=slices, star=star, cls_of=cls_of,
         points=points, restriction=res, induction=ind,
-        group=G, class_rep=class_rep, slice_rep=slice_rep, conjugator=conjugator)
+        group=G, class_rep=class_rep, slice_rep=slice_rep,
+        subgroup_key=subgroup_key, conjugator=conjugator)
 
 
 def cyclic_group(p, n):

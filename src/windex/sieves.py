@@ -16,7 +16,7 @@ from .fibrations import (
     TransferSystem, _chain_fiber, transfer_codomain, transfer_domain,
     transfer_of,
 )
-from .systems import YES, classify
+from .systems import YES
 
 
 class NotAdmissible(ValueError):
@@ -59,15 +59,20 @@ class Sieve:
             raise ValueError("pairs do not form a sieve on the given scope")
 
 
+def _sieve_sets(R, family):
+    """The scope the family leaves, and the closed sets of the sieve
+    conditions on it, smallest first."""
+    scope = transfer_codomain(R) - frozenset(family)
+    available = sorted((K, H) for K, H in R.strict() if H in scope)
+    return scope, closed_sets(available, _sieve_rule(R.P, R, scope))
+
+
 def enumerate_sieves(R, family):
     """All sieves of R on the scope left uncovered by the family, smallest
     first: the closed sets of the sieve conditions."""
-    P = R.P
-    require_chain(P, _CHAINS_ONLY)
-    scope = transfer_codomain(R) - frozenset(family)
-    available = sorted((K, H) for K, H in R.strict() if H in scope)
-    return [Sieve(R, scope, C)
-            for C in closed_sets(available, _sieve_rule(P, R, scope))]
+    require_chain(R.P, _CHAINS_ONLY)
+    scope, sets = _sieve_sets(R, family)
+    return [Sieve(R, scope, C) for C in sets]
 
 
 def sieve_of(W):
@@ -75,9 +80,7 @@ def sieve_of(W):
     a disjoint fixed point above the fold family."""
     P = W.P
     require_chain(P, _CHAINS_ONLY)
-    if not classify(W)["unital"]:
-        raise ValueError("only unital systems carry a sieve")
-    R = transfer_of(W)
+    R = transfer_of(W)    # raises NotUnital unless W is unital
     scope = transfer_codomain(R) - W.families()["fold"]
     pairs = set()
     for K, H in R.strict():
@@ -122,7 +125,7 @@ def fiber_systems(R, family):
     if not transfer_domain(R) <= fam:
         return []
     # the sieves of R on the scope `fam` leaves: fiber_from_sieve's checks hold
-    return [_chain_fiber(R, fam, s.pairs) for s in enumerate_sieves(R, fam)]
+    return [_chain_fiber(R, fam, C) for C in _sieve_sets(R, fam)[1]]
 
 
 def transport_sieve(sieve, R2, family2):

@@ -346,6 +346,17 @@ def test_sparse_documents_are_checked_on_load(tmp_path, capsys, shape, command):
         assert out.err.startswith("validation failure: ")
 
 
+def test_non_integer_multiplicity_is_bad_input(tmp_path, capsys):
+    obj = system_to_obj(
+        WeakIndexingSystem.from_generators(C2, [C2.star_vset("e")], bound=8))
+    obj["generators"] = [{"over": "e", "orbits": [["e", 1.5]]}]
+    path = _write(tmp_path, "gen.json", obj)
+    for argv in (["validate", path], ["hull", path]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not an integer" in out.err
+
+
 def test_internal_faults_are_not_passed_off_as_bad_input(tmp_path, monkeypatch):
     w = _write(tmp_path, "w.json", system_to_obj(f_zero(C2)))
 

@@ -8,7 +8,8 @@ from windex.presentation import (
 )
 
 from helpers import (
-    a4_table, c6_table, chain_restrict_oracle, klein_table, q8_table, s3_table,
+    a4_table, a5_table, c6_table, chain_restrict_oracle, klein_table, q8_table,
+    s3_table,
 )
 
 
@@ -47,6 +48,48 @@ def test_s3_presentation_validates():
     report = validate_presentation(P)
     assert report.ok, report.failures
     assert len(P.orbit_classes) == 4  # e, the reflections, the rotation, S3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: finite_group(s3_table(), name="S3"),
+    lambda: finite_group(c6_table(), name="C6"),
+    lambda: finite_group(klein_table(), name="C2xC2"),
+    lambda: finite_group(q8_table(), name="Q8"),
+    lambda: finite_group(a4_table(), name="A4"),
+    pytest.param(lambda: finite_group(a5_table(), name="A5"),
+                 marks=pytest.mark.slow),
+    lambda: chain_group(2, 3), lambda: chain_group(3, 2),
+    lambda: cyclic_group(2, 3), lambda: cyclic_group(3, 2),
+], ids=["S3", "C6", "C2xC2", "Q8", "A4", "A5", "chain-C8", "chain-C9",
+        "cyclic-C8", "cyclic-C9"])
+def test_subgroup_key_is_the_key_of_the_conjugacy_class(make):
+    # the oracle: the one slice key over V = [G/H] whose representative is
+    # H-conjugate to K, for every subgroup K of H
+    P = make()
+    G = P.group
+    subgroups = G.subgroups()
+    for V in P.orbit_classes:
+        H = P.class_rep[V]
+        keys = P.subgroup_key[V]
+        assert set(keys) == {K for K in subgroups if K <= H}
+        for K, key in keys.items():
+            assert [k for k in P.slice_keys(V) if G.subgroups_conjugate(
+                K, P.slice_rep[(V, k)], H)] == [key], (V, sorted(K))
+        for k in P.slice_keys(V):
+            assert keys[P.slice_rep[(V, k)]] == k
+
+
+def test_subgroup_key_only_with_concrete_group_data():
+    for P in (trivial_point(), one_object_groupoid(2), diamond_lattice()):
+        assert P.class_rep is None and P.subgroup_key is None
+
+
+def test_vset_refuses_non_integer_multiplicities():
+    P = chain_group(2, 1)
+    for m in (1.5, 2.0, True, False, "1", None):
+        with pytest.raises(InvalidSpec, match="not an integer"):
+            P.vset("C_2", [("e", m)])
+    assert P.vset("C_2", [("e", 2), ("C_2", 0)]) == P.orbit_vset("C_2", "e", 2)
 
 
 def test_chain_classes_and_points():

@@ -67,6 +67,20 @@ def test_system_document_shape_checked(C2):
                 system_from_obj(broken, validate=validate)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, True])
+def test_non_integer_multiplicities_refused_on_load(C2, m):
+    vset = {"over": "e", "orbits": [["e", m]]}
+    sparse = system_to_obj(f_zero(C2))
+    sparse["levels"]["e"] = sparse["levels"]["e"] + [vset]
+    generated = system_to_obj(WeakIndexingSystem.from_generators(
+        C2, [C2.star_vset("e")], bound=8))
+    generated["generators"] = [vset]
+    for obj in (sparse, generated):
+        for validate in (False, True):
+            with pytest.raises(SerializationError, match="not an integer"):
+                system_from_obj(obj, validate=validate)
+
+
 def test_document_shapes_checked(C4):
     R = TransferSystem(C4, [("e", "C_2")])
     system = system_to_obj(f_zero(C4))

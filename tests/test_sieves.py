@@ -4,11 +4,11 @@ import itertools
 import pytest
 
 from windex import (
-    NotAdmissible, NotClosed, Sieve, TransferSystem, UnsupportedBackend,
-    WeakIndexingSystem, YES, chain_group, cocartesian_transport, cyclic_group,
-    enumerate_families, enumerate_sieves, enumerate_transfer_systems,
-    f_infinity, fiber_from_sieve, fiber_systems, finite_group, is_sieve, leq,
-    sieve_of, transfer_closure, transfer_codomain, transfer_domain,
+    NotAdmissible, NotClosed, NotUnital, Sieve, TransferSystem,
+    UnsupportedBackend, WeakIndexingSystem, YES, chain_group,
+    cocartesian_transport, cyclic_group, enumerate_families, enumerate_sieves,
+    enumerate_transfer_systems, f_infinity, f_trivial, fiber_from_sieve,
+    fiber_systems, finite_group, is_sieve, leq, minimal_unital, sieve_of, transfer_closure, transfer_codomain, transfer_domain,
     transfer_of, transport_sieve,
 )
 from windex.enumeration import enumerate_systems
@@ -152,13 +152,23 @@ def test_fiber_from_sieve_refuses_a_sieve_of_a_smaller_transfer(C4):
     lambda: chain_group(2, 2), lambda: chain_group(3, 2),
     lambda: chain_group(2, 3), lambda: chain_group(2, 4),
     lambda: chain_group(5, 2), lambda: chain_group(2, 5),
-], ids=["C4", "C9", "C8", "C16", "C25", "C32"])
+    lambda: cyclic_group(2, 3),
+], ids=["C4", "C9", "C8", "C16", "C25", "C32", "cyclic-C8"])
 def test_fiber_systems_equal_the_per_sieve_path(make):
     P = make()
     for R in enumerate_transfer_systems(P):
         for fam in enumerate_families(P):
             assert fiber_systems(R, fam) == per_sieve_fiber_systems(R, fam), \
                 (R, fam)
+
+
+def test_fiber_parts_are_computed_once_per_transfer_system(C8):
+    for R in enumerate_transfer_systems(C8):
+        parts = R._chain_parts
+        for fam in enumerate_families(C8):
+            fiber_systems(R, fam)
+        minimal_unital(R)
+        assert R._chain_parts is parts
 
 
 def test_every_c8_fiber_system_validates(C8):
@@ -170,6 +180,11 @@ def test_every_c8_fiber_system_validates(C8):
                                                validate=True)
                 count += 1
     assert count == 79
+
+
+def test_sieve_of_needs_a_unital_system(C4):
+    with pytest.raises(NotUnital):
+        sieve_of(f_trivial(C4))
 
 
 def test_sieve_of_round_trips(C4):

@@ -156,7 +156,7 @@ def cmd_transport(args):
         _, target = serialize.family_from_obj(target_obj)
     elif args.map == "transfer":
         target = serialize.transfer_from_obj(target_obj)
-    elif args.map == "transfer-fold":
+    else:    # "transfer-fold": argparse refuses any other map
         if not isinstance(target_obj, dict) or "family" not in target_obj:
             raise SerializationError(
                 "transfer-fold target needs 'transfer' and 'family' fields")
@@ -168,8 +168,6 @@ def cmd_transport(args):
             {"kind": "family", "presentation": spec,
              "members": target_obj["family"]})
         target = (R, fam)
-    else:
-        raise SerializationError(f"unknown map {args.map!r}")
     try:
         result = cocartesian_transport(args.map, W, target)
     except TargetNotAbove as exc:
@@ -177,7 +175,8 @@ def cmd_transport(args):
         return 1
     sp, exact = sparse_extract(result)
     text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out)
+    _write_or_print(text, args.out,
+                    "" if exact else " (sparse underapproximation)")
     return 0
 
 

@@ -118,7 +118,6 @@ def named_rep(P, name):
     p_req, n_req, dims = _NAMED[key]
     p, n = P.spec["p"], P.spec["n"]
     if (p_req is not None and p != p_req) or n != n_req:
-        want = f"C_{p_req or 'p'}^{n_req}" if n_req > 1 else (f"C_{p_req}" if p_req else "C_p")
         raise ValueError(f"{name!r} lives over a chain of height {n_req}"
                          + (f" with p={p_req}" if p_req else "")
                          + f", not {P.key}")

@@ -23,6 +23,7 @@ Equality and hashing go by content, whatever the backing (see
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,40 +63,41 @@ def closure_bound(P, *vsets):
 # -- sparse V-sets ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _sparse_table(P):
+    """Sparseness decided once per presentation: each class's sparse V-sets
+    in `sparse_universe` order and as a set, and the points of the largest."""
+    table = {}
+    for V in P.orbit_classes:
+        star = P.star_key(V)
+        out = [P.empty_vset(V), P.star_vset(V), P.vset(V, [(star, 2)])]
+        nonterminal = [k for k in P.slice_keys(V) if k != star]
+        for r in range(1, len(nonterminal) + 1):
+            for combo in itertools.combinations(nonterminal, r):
+                if any(P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a)
+                       for a, b in itertools.combinations(combo, 2)):
+                    continue
+                body = P.vset(V, [(k, 1) for k in combo])
+                out += [body, body + P.star_vset(V)]
+        table[V] = (tuple(out), frozenset(out))
+    bound = max(P.points(S) for universe, _ in table.values() for S in universe)
+    return table, bound
+
+
 def is_sparse(P, S):
-    V = S.over
-    star = P.star_key(V)
-    if S.orbits == ((star, 2),):
-        return True
-    if any(m > 1 for _, m in S.orbits):
-        return False
-    nonterminal = [k for k, _ in S.orbits if k != star]
-    for a, b in itertools.combinations(nonterminal, 2):
-        if P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a):
-            return False
-    return True
+    """Is S one of the sparse V-sets of `sparse_universe`?"""
+    return S in _sparse_table(P)[0][S.over][1]
 
 
 def sparse_universe(P, V):
     """All sparse V-sets: the empty set, the point, the double point, and
     antichains of non-terminal orbits with or without a disjoint point."""
-    star = P.star_key(V)
-    out = [P.empty_vset(V), P.star_vset(V), P.vset(V, [(star, 2)])]
-    nonterminal = [k for k in P.slice_keys(V) if k != star]
-    for r in range(1, len(nonterminal) + 1):
-        for combo in itertools.combinations(nonterminal, r):
-            if any(P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            body = P.vset(V, [(k, 1) for k in combo])
-            out.append(body)
-            out.append(body + P.star_vset(V))
-    return tuple(out)
+    return _sparse_table(P)[0][V][0]
 
 
 def sparse_bound(P):
     """Points of the largest sparse V-set anywhere in the presentation."""
-    return max(P.points(S) for V in P.orbit_classes for S in sparse_universe(P, V))
+    return _sparse_table(P)[1]
 
 
 def downward_closure(P, classes):
@@ -235,8 +237,8 @@ def saturate(P, gens, bound, escape=None):
 
 
 def sparse_part(P, levels):
-    return {V: frozenset(S for S in mem if is_sparse(P, S))
-            for V, mem in levels.items()}
+    table = _sparse_table(P)[0]
+    return {V: table[V][1].intersection(mem) for V, mem in levels.items()}
 
 
 # -- isotropy decomposition --------------------------------------------------
@@ -252,10 +254,10 @@ class SparseDecomposition:
 def sparse_decompose(P, S):
     """Write S as a coproduct over a sparse V-set.
 
-    Orbits connected by slice maps are merged (the earliest mergeable orbit
-    folds into the smallest available target) until the non-terminal orbits
-    form an antichain; the component at a surviving orbit collects everything
-    that folded into it, rewritten over its class.  Always:
+    The non-terminal orbits that map to no other orbit of S survive and form
+    an antichain; every other orbit folds onto a survivor above it, and the
+    component at a survivor collects everything that folded into it,
+    rewritten over its class.  Always:
     ``indexed_coproduct(P, d.reduced, d.pieces) == S``.
     """
     V = S.over
@@ -264,38 +266,26 @@ def sparse_decompose(P, S):
     star_count = S.mult(star)
     nonterminal = [k for k, _ in S.orbits if k != star]
 
-    if not nonterminal:
-        # pure fold: n copies of the point
-        if star_count == 0:
-            return SparseDecomposition(P.empty_vset(V), {}, ())
-        if star_count == 1:
-            return SparseDecomposition(P.star_vset(V), {star: star},
-                                       (P.star_vset(V),))
-        double = P.vset(V, [(star, 2)])
+    if not nonterminal and star_count > 1:
+        # n copies of the point fold over the double point
         return SparseDecomposition(
-            double, {star: star},
+            P.vset(V, [(star, 2)]), {star: star},
             (P.star_vset(V), P.star_vset(V).scale(star_count - 1)))
 
-    survivors = list(nonterminal)
-    target = {k: k for k in nonterminal}
-    while True:
-        merged = False
-        for a in sorted(survivors, key=key_order.get):
-            candidates = [b for b in survivors
-                          if b != a and P.slice_hom_exists(V, a, b)]
-            if candidates:
-                w = min(candidates, key=key_order.get)
-                survivors.remove(a)
-                for k, t in target.items():
-                    if t == a:
-                        target[k] = w
-                merged = True
-                break
-        if not merged:
-            break
-
-    reduced_pairs = [(k, 1) for k in survivors]
-    retraction = dict(target)
+    # The merge order in one pass (folding the least-keyed orbit that maps to
+    # another survivor into the least-keyed survivor above it until none does
+    # is `merged_sparse_decomposition` in the tests): maximal orbits survive,
+    # and, in decreasing key order, every other orbit shares the target of the
+    # least-keyed orbit above it that is maximal or later in key order.
+    by_key = sorted(nonterminal, key=key_order.get)
+    target = {a: a for a in by_key if not any(
+        b != a and P.slice_hom_exists(V, a, b) for b in by_key)}
+    reduced_pairs = [(k, 1) for k in nonterminal if k in target]
+    for a in reversed(by_key):
+        if a not in target:
+            target[a] = target[next(b for b in by_key if b in target
+                                    and P.slice_hom_exists(V, a, b))]
+    retraction = {k: target[k] for k in nonterminal}
     if star_count:
         reduced_pairs.append((star, 1))
         retraction[star] = star
@@ -926,6 +916,8 @@ def multiplicative_hull(W, component_bound=4):
     The admissible sparse sets form the hull, validated as a closed sparse
     family.  Needs a group-backed presentation for honest products.
     """
+    if component_bound < 0:
+        raise ValueError(f"component bound {component_bound} is negative")
     P = W.P
     gsets.require_group(P)
     pools = {V: W.members_up_to(V, component_bound) for V in P.orbit_classes}

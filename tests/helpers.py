@@ -8,7 +8,8 @@ exception is `full_saturation`, the worklist `saturate` ran before it became
 a rule of `poset.closure`, which shares the package's coproduct enumeration
 (without `must`).  Some oracles are the package's own earlier algorithms,
 kept here once a faster one replaced them: `saturated_minimal_unital`, `scanned_label`,
-`pairwise_system_poset` and `per_sieve_fiber_systems`.
+`pairwise_system_poset`, `per_sieve_fiber_systems`, `antichain_is_sparse`,
+`combination_sparse_universe` and `merged_sparse_decomposition`.
 """
 import itertools
 from collections import deque
@@ -24,9 +25,10 @@ from windex.enumeration import (
 from windex.poset import Poset
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
-    NotClosed, WeakIndexingSystem, _check_same_presentation, _coproducts,
-    downward_closure, f_complete, f_infinity, f_trivial, f_zero, is_sparse, join,
-    sparse_closure, sparse_member, sparse_universe,
+    NotClosed, SparseDecomposition, WeakIndexingSystem,
+    _check_same_presentation, _coproducts, downward_closure, f_complete,
+    f_infinity, f_trivial, f_zero, is_sparse, join, sparse_closure,
+    sparse_member, sparse_universe,
 )
 
 
@@ -549,3 +551,99 @@ def per_sieve_fiber_systems(R, family):
     if not recomputed_transfer_domain(R) <= fam:
         return []
     return [per_sieve_fiber(R, fam, s) for s in enumerate_sieves(R, fam)]
+
+
+def antichain_is_sparse(P, S):
+    """Sparseness tested on S alone: the double point, or multiplicities at
+    most one and no slice map either way between two non-terminal orbits."""
+    V = S.over
+    star = P.star_key(V)
+    if S.orbits == ((star, 2),):
+        return True
+    if any(m > 1 for _, m in S.orbits):
+        return False
+    nonterminal = [k for k, _ in S.orbits if k != star]
+    for a, b in itertools.combinations(nonterminal, 2):
+        if P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a):
+            return False
+    return True
+
+
+def combination_sparse_universe(P, V):
+    """The sparse V-sets listed by filtering every combination of
+    non-terminal orbits: the empty set, the point, the double point, then
+    each antichain without and with a disjoint point."""
+    star = P.star_key(V)
+    out = [P.empty_vset(V), P.star_vset(V), P.vset(V, [(star, 2)])]
+    nonterminal = [k for k in P.slice_keys(V) if k != star]
+    for r in range(1, len(nonterminal) + 1):
+        for combo in itertools.combinations(nonterminal, r):
+            if any(P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a)
+                   for a, b in itertools.combinations(combo, 2)):
+                continue
+            body = P.vset(V, [(k, 1) for k in combo])
+            out.append(body)
+            out.append(body + P.star_vset(V))
+    return tuple(out)
+
+
+def merged_sparse_decomposition(P, S):
+    """`sparse_decompose` by repeated merging: the least-keyed surviving
+    orbit that maps to another survivor folds into the least-keyed survivor
+    above it (every orbit that folded into it follows), and the scan starts
+    over until the survivors form an antichain."""
+    V = S.over
+    star = P.star_key(V)
+    key_order = {k: i for i, k in enumerate(P.slice_keys(V))}
+    star_count = S.mult(star)
+    nonterminal = [k for k, _ in S.orbits if k != star]
+
+    if not nonterminal:
+        if star_count == 0:
+            return SparseDecomposition(P.empty_vset(V), {}, ())
+        if star_count == 1:
+            return SparseDecomposition(P.star_vset(V), {star: star},
+                                       (P.star_vset(V),))
+        return SparseDecomposition(
+            P.vset(V, [(star, 2)]), {star: star},
+            (P.star_vset(V), P.star_vset(V).scale(star_count - 1)))
+
+    survivors = list(nonterminal)
+    target = {k: k for k in nonterminal}
+    while True:
+        merged = False
+        for a in sorted(survivors, key=key_order.get):
+            candidates = [b for b in survivors
+                          if b != a and P.slice_hom_exists(V, a, b)]
+            if candidates:
+                w = min(candidates, key=key_order.get)
+                survivors.remove(a)
+                for k, t in target.items():
+                    if t == a:
+                        target[k] = w
+                merged = True
+                break
+        if not merged:
+            break
+
+    reduced_pairs = [(k, 1) for k in survivors]
+    retraction = dict(target)
+    if star_count:
+        reduced_pairs.append((star, 1))
+        retraction[star] = star
+    reduced = P.vset(V, reduced_pairs)
+
+    pieces = []
+    for w in reduced.expand():
+        if w == star:
+            pieces.append(P.star_vset(V).scale(star_count))
+            continue
+        W = P.slice_cls(V, w)
+        acc = P.empty_vset(W)
+        for k, m in S.orbits:
+            if k == star or target[k] != w:
+                continue
+            x = next(x for x in P.slice_keys(W) if P.induct_key(V, w, x) == k)
+            acc = acc + P.orbit_vset(W, x, m)
+        pieces.append(acc)
+    return SparseDecomposition(reduced, retraction, tuple(pieces))

@@ -12,7 +12,7 @@ import pytest
 import windex
 from windex import (
     TransferSystem, WeakIndexingSystem, chain_group, dump, f_complete,
-    f_trivial, f_zero, family_to_obj, fold_left, system_from_obj,
+    f_infinity, f_trivial, f_zero, family_to_obj, fold_left, system_from_obj,
     system_to_obj, transfer_to_obj,
 )
 from windex.cli import main
@@ -247,6 +247,20 @@ def test_transport_transfer_fold(tmp_path, capsys):
     assert W == expected
 
 
+def test_transport_says_when_it_writes_an_underapproximation(tmp_path, capsys):
+    # three free orbits over C_2 are not an aE-unital system, so only its
+    # sparse members are written, as `join` does
+    w = _write(tmp_path, "w.json", system_to_obj(
+        WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)])))
+    fam = _write(tmp_path, "fam.json", family_to_obj(C2, ["e", "C_2"]))
+    out = tmp_path / "t.json"
+    assert main(["transport", "--map", "color", "--to", fam, w,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (sparse underapproximation)\n"
+    assert main(["join", w, w, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (sparse underapproximation)\n"
+
+
 def test_transport_unreachable_target(tmp_path, capsys):
     w = _write(tmp_path, "w.json", system_to_obj(f_complete(C4)))
     fam = _write(tmp_path, "fam.json", family_to_obj(C4, ["e"]))
@@ -289,6 +303,13 @@ def test_hull_of_units_is_complete(tmp_path, capsys):
     assert main(["hull", w, "--out", str(out)]) == 0
     assert "indexing" in capsys.readouterr().out
     assert system_from_obj(json.loads(out.read_text())) == f_complete(C2)
+
+
+def test_hull_refuses_a_negative_component_bound(tmp_path, capsys):
+    w = _write(tmp_path, "w.json", system_to_obj(f_infinity(C2)))
+    assert main(["hull", w, "--component-bound=-1"]) == 2
+    assert "component bound -1 is negative" in capsys.readouterr().err
+    assert main(["hull", w, "--component-bound=0"]) == 0
 
 
 # -- malformed input and internal faults --------------------------------------------

@@ -24,8 +24,10 @@ from windex.systems import (
 )
 
 from helpers import (
-    _component_choices, a4_table, coproduct_pools, diamond_semilattice,
-    full_saturation, naive_closure, s3_table,
+    _component_choices, a4_table, antichain_is_sparse, c6_table,
+    combination_sparse_universe, coproduct_pools, diamond_semilattice,
+    full_saturation, klein_table, merged_sparse_decomposition, naive_closure,
+    q8_table, s3_table,
 )
 
 
@@ -86,6 +88,60 @@ def test_sparse_decompose_retraction_is_a_map(C8):
         assert t in dict(d.reduced.orbits)
         if k != star:
             assert C8.slice_hom_exists("C_8", k, t)
+
+
+SPARSE_TABLE_CASES = {
+    "C4": lambda: chain_group(2, 2), "C8": lambda: chain_group(2, 3),
+    "C9": lambda: chain_group(3, 2), "C8-table": lambda: cyclic_group(2, 3),
+    "S3": lambda: S3, "C2xC2": lambda: finite_group(klein_table(), name="C2xC2"),
+    "C6": lambda: finite_group(c6_table(), name="C6"),
+    "Q8": lambda: finite_group(q8_table(), name="Q8"),
+    "A4": lambda: finite_group(a4_table(), name="A4"),
+    "diamond": diamond_semilattice,
+}
+
+
+def _at_most_doubled(P, V):
+    """Every V-set with each orbit multiplicity at most 2."""
+    keys = P.slice_keys(V)
+    for mults in itertools.product(range(3), repeat=len(keys)):
+        yield P.vset(V, [(k, m) for k, m in zip(keys, mults) if m])
+
+
+@pytest.mark.parametrize("name", SPARSE_TABLE_CASES)
+def test_sparse_table_and_one_pass_fold_match_their_oracles(name):
+    P = SPARSE_TABLE_CASES[name]()
+    oracle_universes = {V: combination_sparse_universe(P, V)
+                        for V in P.orbit_classes}
+    assert sparse_bound(P) == max(P.points(S) for universe in
+                                  oracle_universes.values() for S in universe)
+    for V in P.orbit_classes:
+        assert sparse_universe(P, V) is sparse_universe(P, V)
+        assert sparse_universe(P, V) == oracle_universes[V]
+        for S in _at_most_doubled(P, V):
+            assert is_sparse(P, S) == antichain_is_sparse(P, S), S
+            d, merged = sparse_decompose(P, S), merged_sparse_decomposition(P, S)
+            assert d == merged, S
+            assert list(d.retraction.items()) == list(merged.retraction.items())
+
+
+def test_fold_check_tells_the_merge_order_from_least_maximal():
+    # sending each orbit straight to the least-keyed maximal orbit above it
+    # is a plausible one-pass fold that the merge loop does not compute; the
+    # V-sets of the oracle test above tell the two apart over A_4
+    P = SPARSE_TABLE_CASES["A4"]()
+    differ = 0
+    for V in P.orbit_classes:
+        order = {k: i for i, k in enumerate(P.slice_keys(V))}
+        for S in _at_most_doubled(P, V):
+            keys = [k for k, _ in S.orbits if k != P.star_key(V)]
+            above = {a: [b for b in keys if b != a and P.slice_hom_exists(V, a, b)]
+                     for a in keys}
+            least_maximal = {a: min((b for b in above[a] if not above[b]),
+                                    key=order.get, default=a) for a in keys}
+            retraction = merged_sparse_decomposition(P, S).retraction
+            differ += any(retraction[a] != least_maximal[a] for a in keys)
+    assert differ == 48
 
 
 @st.composite
@@ -676,6 +732,34 @@ def test_coinduce_is_right_adjoint(C2):
         assert lhs == rhs == YES or lhs == rhs == NO, (W.label, I.label)
 
 
+@pytest.mark.parametrize("name, pairs, unfaithful", [
+    ("C4", 60, 0), ("C9", 60, 0), ("S3", 218, 0),
+    pytest.param("C8", 212, 0, marks=pytest.mark.slow),
+    pytest.param("diamond", 278, 9, marks=pytest.mark.slow),
+])
+def test_coinduced_aE_unital_systems_are_read_off_their_sparse_members(
+        name, pairs, unfaithful):
+    # Coinduction is a predicate; equality and `meet` trust its sparse
+    # members whenever they look faithful.  Over chains and S_3 the
+    # coinduction of every aE-unital system of every slice is faithful, and
+    # the sparse members decide membership as the predicate does; over the
+    # diamond some are not aE-unital.
+    P = SPARSE_TABLE_CASES[name]()
+    seen = refused = 0
+    for V in P.orbit_classes:
+        for I in enumerate_systems(P.slice_presentation(V), "aE_unital"):
+            seen += 1
+            W = coinduce_wis(P, V, I)
+            sparse, faithful = sparse_extract(W)
+            if not faithful:
+                refused += 1
+                continue
+            for U in P.orbit_classes:
+                for S in P.vsets_up_to(U, 6):
+                    assert sparse.member(S) == W.member(S), (V, I, S)
+    assert (seen, refused) == (pairs, unfaithful)
+
+
 # -- multiplicative hull -------------------------------------------------------------
 
 
@@ -697,6 +781,15 @@ def test_hull_of_complete_system_over_tabular_c8():
     hull = multiplicative_hull(f_complete(P))
     assert hull == f_complete(P)
     assert classify(hull)["indexing"]
+
+
+def test_hull_refuses_a_negative_component_bound(C2):
+    # with no components every sparse set would pass vacuously
+    with pytest.raises(ValueError, match="negative"):
+        multiplicative_hull(f_infinity(C2), component_bound=-1)
+    for bound in (0, 1):
+        assert leq(f_infinity(C2), multiplicative_hull(
+            f_infinity(C2), component_bound=bound)) == YES
 
 
 def test_hull_is_enlarging_and_idempotent(C2):

@@ -57,7 +57,10 @@ def _group_presentation(name):
     raise SerializationError(f"unknown group {name!r}")
 
 
-def _write_or_print(text, out, note=""):
+def _write_or_print(text, out, exact=True):
+    """Write `text` to the file `out`, or to stdout without one.  A text that
+    is only a sparse underapproximation (`exact` false) is marked on the
+    `wrote` line, or on stderr, so that stdout stays one document."""
     if out:
         try:
             with open(out, "w") as fh:
@@ -65,9 +68,11 @@ def _write_or_print(text, out, note=""):
         except OSError as exc:
             raise SerializationError(
                 f"cannot write {out}: {exc.strerror or exc}") from exc
-        print(f"wrote {out}{note}")
+        print(f"wrote {out}" + ("" if exact else " (sparse underapproximation)"))
     else:
         sys.stdout.write(text)
+        if not exact:
+            print("note: sparse underapproximation", file=sys.stderr)
 
 
 def _load_system(path):
@@ -127,8 +132,7 @@ def cmd_join(args):
     W = join(A, B)
     sp, exact = sparse_extract(W)
     text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out,
-                    "" if exact else " (sparse underapproximation)")
+    _write_or_print(text, args.out, exact)
     return 0
 
 
@@ -175,8 +179,7 @@ def cmd_transport(args):
         return 1
     sp, exact = sparse_extract(result)
     text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out,
-                    "" if exact else " (sparse underapproximation)")
+    _write_or_print(text, args.out, exact)
     return 0
 
 

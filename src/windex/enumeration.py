@@ -86,13 +86,20 @@ def _level_ok(P, V, members, levels):
 
 def _in_output_order(systems):
     """The systems in the output order of the enumerations: by number of
-    sparse members, then by the sorted member names (each distinct member
-    named once per call)."""
-    name = functools.lru_cache(maxsize=None)(str)
+    sparse members, then by the sorted member names.  Each distinct level is
+    named once per call: systems share their levels, and a frozenset keeps
+    its hash, so a shared level costs one lookup however many members it
+    holds."""
+    names = {}
 
     def size_then_members(W):
-        members = [S for level in W.sparse_levels.values() for S in level]
-        return len(members), tuple(sorted(map(name, members)))
+        members = []
+        for level in W.sparse_levels.values():
+            named = names.get(level)
+            if named is None:
+                named = names[level] = [str(S) for S in level]
+            members += named
+        return len(members), tuple(sorted(members))
 
     return sorted(systems, key=size_then_members)
 
@@ -117,7 +124,14 @@ def _from_unital(P, unital, which):
     its color family C.  Its levels on F with the empty set and the point
     elsewhere form a unital W, since any other restriction or coproduct is
     the empty set, the point, or one inside F; and X is W truncated to F
-    plus the point on C - F."""
+    plus the point on C - F.
+
+    The unital list is only sorted: it holds no duplicates, since the brute
+    walk visits each level assignment once and the fiberwise one each
+    (transfer system, fold family, sieve) triple once, which `transfer_of`,
+    the fold family and `sieve_of` read back off the system."""
+    if which == "unital":
+        return _in_output_order(unital)
     everything = frozenset(P.orbit_classes)
     families = enumerate_families(P)
     tops = families if which == "aE_unital" else [everything]

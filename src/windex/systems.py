@@ -84,15 +84,27 @@ def _sparse_table(P):
     return table, bound
 
 
+def _unknown_class(P, V):
+    return MixedPresentation(f"{V!r} is not an orbit class of {P.key}")
+
+
 def is_sparse(P, S):
     """Is S one of the sparse V-sets of `sparse_universe`?"""
-    return S in _sparse_table(P)[0][S.over][1]
+    table = _sparse_table(P)[0]
+    try:
+        return S in table[S.over][1]
+    except KeyError:
+        raise _unknown_class(P, S.over) from None
 
 
 def sparse_universe(P, V):
     """All sparse V-sets: the empty set, the point, the double point, and
     antichains of non-terminal orbits with or without a disjoint point."""
-    return _sparse_table(P)[0][V][0]
+    table = _sparse_table(P)[0]
+    try:
+        return table[V][0]
+    except KeyError:
+        raise _unknown_class(P, V) from None
 
 
 def sparse_bound(P):
@@ -261,7 +273,10 @@ def sparse_decompose(P, S):
     ``indexed_coproduct(P, d.reduced, d.pieces) == S``.
     """
     V = S.over
-    star = P.star_key(V)
+    try:
+        star = P.star_key(V)
+    except KeyError:
+        raise _unknown_class(P, V) from None
     key_order = {k: i for i, k in enumerate(P.slice_keys(V))}
     star_count = S.mult(star)
     nonterminal = [k for k, _ in S.orbits if k != star]

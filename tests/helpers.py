@@ -9,8 +9,10 @@ a rule of `poset.closure`, which shares the package's coproduct enumeration
 (without `must`).  Some oracles are the package's own earlier algorithms,
 kept here once a faster one replaced them: `saturated_minimal_unital`, `scanned_label`,
 `pairwise_system_poset`, `per_sieve_fiber_systems`, `antichain_is_sparse`,
-`combination_sparse_universe` and `merged_sparse_decomposition`.
+`combination_sparse_universe`, `merged_sparse_decomposition`,
+`walked_closed_sets` and `member_named_order`.
 """
+import functools
 import itertools
 from collections import deque
 
@@ -22,7 +24,7 @@ from windex.sieves import NotAdmissible, enumerate_sieves
 from windex.enumeration import (
     _exact_levels, _in_output_order, content_hash, enumerate_systems,
 )
-from windex.poset import Poset
+from windex.poset import Poset, closure
 from windex.presentation import indexed_coproduct, meet_semilattice
 from windex.systems import (
     NotClosed, SparseDecomposition, WeakIndexingSystem,
@@ -647,3 +649,35 @@ def merged_sparse_decomposition(P, S):
             acc = acc + P.orbit_vset(W, x, m)
         pieces.append(acc)
     return SparseDecomposition(reduced, retraction, tuple(pieces))
+
+
+def walked_closed_sets(items, rule):
+    """`poset.closed_sets` by a walk that steps from each closed set C to
+    the closure of C and x for every x outside C, keeping a set of those
+    seen: the closure lies inside any closed set holding C and x, so the
+    walk reaches every closed set, most of them many times."""
+    pos = {x: i for i, x in enumerate(items)}
+    start = closure(rule)
+    seen, todo = {start}, [start]
+    while todo:
+        C = todo.pop()
+        for x in items:
+            if x not in C:
+                D = closure(rule, C, [x])
+                if D not in seen:
+                    seen.add(D)
+                    todo.append(D)
+    return sorted(seen, key=lambda C: (len(C), sorted(pos[x] for x in C)))
+
+
+def member_named_order(systems):
+    """The output order of the enumerations, each member occurrence named
+    through a cache keyed by the member: by number of sparse members, then
+    by the sorted member names."""
+    name = functools.lru_cache(maxsize=None)(str)
+
+    def size_then_members(W):
+        members = [S for level in W.sparse_levels.values() for S in level]
+        return len(members), tuple(sorted(map(name, members)))
+
+    return sorted(systems, key=size_then_members)

@@ -261,6 +261,21 @@ def test_transport_says_when_it_writes_an_underapproximation(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out} (sparse underapproximation)\n"
 
 
+def test_stdout_underapproximation_is_noted_on_stderr(tmp_path, capsys):
+    # generator 3*[e]@C_2: without --out stdout stays one JSON document
+    w = _write(tmp_path, "w.json", system_to_obj(
+        WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)])))
+    fam = _write(tmp_path, "fam.json", family_to_obj(C2, ["e", "C_2"]))
+    for argv in (["join", w, w], ["transport", "--map", "color", "--to", fam, w]):
+        assert main(argv) == 0
+        got = capsys.readouterr()
+        assert json.loads(got.out)["kind"] == "system"
+        assert got.err == "note: sparse underapproximation\n"
+    exact = _write(tmp_path, "exact.json", system_to_obj(f_complete(C4)))
+    assert main(["join", exact, exact]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_transport_unreachable_target(tmp_path, capsys):
     w = _write(tmp_path, "w.json", system_to_obj(f_complete(C4)))
     fam = _write(tmp_path, "fam.json", family_to_obj(C4, ["e"]))

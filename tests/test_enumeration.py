@@ -1,4 +1,7 @@
 """Exhaustive enumeration of system classes and their posets."""
+import collections
+import random
+
 import pytest
 
 from windex import (
@@ -9,15 +12,30 @@ from windex import (
     transfer_to_indexing, trivial_point,
 )
 from windex.enumeration import (
-    _label_library, content_hash, enumerate_systems,
+    _in_output_order, _label_library, content_hash, enumerate_systems,
     enumerate_systems_fiberwise, normalize_class,
 )
 
 from helpers import (
     a4_table, c6_table, diamond_semilattice, klein_table, listed_label_library,
-    q8_table, s3_table, scanned_label, searched_indexing_systems,
-    searched_systems,
+    member_named_order, q8_table, s3_table, scanned_label,
+    searched_indexing_systems, searched_systems,
 )
+
+
+def test_output_order_names_levels_as_the_member_oracle_names_members():
+    unital = enumerate_systems_fiberwise(chain_group(2, 4), "unital")
+    indexing = enumerate_systems(finite_group(s3_table(), name="S3"), "indexing")
+    def size(W):
+        return sum(map(len, W.sparse_levels.values()))
+
+    [(common, count)] = collections.Counter(map(size, unital)).most_common(1)
+    tied = [W for W in unital if size(W) == common]
+    assert len(tied) == count > 1
+    for systems in (unital, indexing, tied):
+        shuffled = list(systems)
+        random.Random(len(systems)).shuffle(shuffled)
+        assert _in_output_order(shuffled) == member_named_order(shuffled)
 
 
 @pytest.mark.parametrize("p", [2, 3])

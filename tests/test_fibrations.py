@@ -99,8 +99,8 @@ def test_point_and_groupoid_have_one_transfer_system(PT, BG):
     assert len(enumerate_transfer_systems(BG)) == 1
 
 
-@pytest.mark.parametrize("p,n,count", [(2, 6, 429), (3, 4, 42)],
-                         ids=["C64", "C81"])
+@pytest.mark.parametrize("p,n,count", [(2, 6, 429), (2, 7, 1430), (3, 4, 42)],
+                         ids=["C64", "C128", "C81"])
 def test_catalan_counts_on_long_chains(p, n, count):
     # Balchin-Barnes-Roitzheim: C_{p^n} has Catalan(n + 1) transfer systems
     assert len(enumerate_transfer_systems(chain_group(p, n))) == count

@@ -1,4 +1,5 @@
-"""Finite posets: the order checks, extremes, covers and isomorphism."""
+"""The closed sets of a rule; finite posets: the order checks, extremes,
+covers and isomorphism."""
 import itertools
 import random
 import sys
@@ -6,11 +7,80 @@ import sys
 import pytest
 
 from helpers import (
-    MatrixPoset, diamond_semilattice, pairwise_system_poset, s3_table,
+    MatrixPoset, diamond_semilattice, pairwise_system_poset, q8_table,
+    s3_table, walked_closed_sets,
 )
-from windex import chain_group, finite_group, leq, system_poset
+from windex import (
+    chain_group, enumerate_families, enumerate_transfer_systems, finite_group,
+    leq, system_poset, transfer_codomain,
+)
+from windex import poset
 from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
-from windex.poset import Poset, poset_from_covers
+from windex.fibrations import _transfer_rule
+from windex.poset import Poset, closed_sets, poset_from_covers
+from windex.presentation import is_chain
+from windex.sieves import _sieve_rule
+from windex.systems import downward_closure
+
+
+def _implication_rule(implications):
+    """The rule of the implications (premise, conclusion): an item brings in
+    the conclusion of each premise it completes."""
+    def rule(x, present):
+        return [y for premise, y in implications
+                if x in premise and premise <= present]
+    return rule
+
+
+def test_closed_sets_match_the_walk_on_random_rules():
+    rng = random.Random(17)
+    for _ in range(200):
+        items = rng.sample(range(20), rng.randint(0, 9))
+        implications = [
+            (frozenset(rng.sample(items, rng.randint(1, min(3, len(items))))),
+             rng.choice(items))
+            for _ in range(rng.randint(0, 2 * len(items)) if items else 0)]
+        rule = _implication_rule(implications)
+        assert closed_sets(items, rule) == walked_closed_sets(items, rule)
+
+
+_RULE_GROUPS = {
+    "C4": lambda: chain_group(2, 2), "C8": lambda: chain_group(2, 3),
+    "C16": lambda: chain_group(2, 4),
+    "S3": lambda: finite_group(s3_table(), name="S3"),
+    "diamond": diamond_semilattice,
+    "Q8": lambda: finite_group(q8_table(), name="Q8"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_GROUPS))
+def test_closed_sets_match_the_walk_on_the_package_rules(name):
+    """The family and transfer rules everywhere, and on chains the sieve
+    rule of every (transfer system, family) pair."""
+    P = _RULE_GROUPS[name]()
+    strict = [(u, V) for V in P.orbit_classes
+              for u in P.slice_keys(V) if u != P.star_key(V)]
+    rules = [(list(P.orbit_classes),
+              lambda V, present: downward_closure(P, [V])),
+             (strict, _transfer_rule(P))]
+    if is_chain(P):
+        for R in enumerate_transfer_systems(P):
+            for fam in enumerate_families(P):
+                scope = transfer_codomain(R) - fam
+                available = sorted((K, H) for K, H in R.strict() if H in scope)
+                rules.append((available, _sieve_rule(P, R, scope)))
+    for items, rule in rules:
+        assert closed_sets(items, rule) == walked_closed_sets(items, rule)
+
+
+def test_closed_sets_close_each_transfer_system_once(monkeypatch):
+    # 5,537 closures over C_64 when every closed set stepped to every item
+    calls = []
+    engine = poset.closure
+    monkeypatch.setattr(poset, "closure",
+                        lambda *args: calls.append(1) or engine(*args))
+    assert len(enumerate_transfer_systems(chain_group(2, 6))) == 429
+    assert len(calls) <= 1800
 
 
 def divides(a, b):

@@ -581,6 +581,24 @@ def test_mixed_presentation_rejected(C2, C4):
         f_zero(C2).member(C4.star_vset("C_4"))
 
 
+def test_is_sparse_refuses_a_vset_of_another_presentation(C2, C4):
+    with pytest.raises(MixedPresentation, match="'C_4' is not an orbit class"):
+        is_sparse(C2, C4.star_vset("C_4"))
+
+
+def test_sparse_universe_refuses_a_class_of_another_presentation(C2):
+    with pytest.raises(MixedPresentation, match="'C_4' is not an orbit class"):
+        sparse_universe(C2, "C_4")
+
+
+def test_sparse_decompose_refuses_a_vset_of_another_presentation(C2, C4):
+    for S in (C4.star_vset("C_4"), C4.vset("C_4", [("C_4", 3)]),
+              C4.orbit_vset("C_4", "e")):
+        with pytest.raises(MixedPresentation,
+                           match="'C_4' is not an orbit class"):
+            sparse_decompose(C2, S)
+
+
 def test_meet_off_the_sparse_path_is_the_and_of_memberships(C2):
     A, B = f_zero(C2), f_perp_nu(C2, ())
     M = meet(A, B)

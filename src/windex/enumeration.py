@@ -56,7 +56,7 @@ def normalize_class(name):
 def _level_ok(P, V, members, levels):
     """Cheap necessary conditions on a candidate level, given the levels
     already fixed below it."""
-    double = P.vset(V, [(P.star_key(V), 2)])
+    double = P.double_vset(V)
     probe = dict(levels)
     probe[V] = members
     for S in members:

@@ -56,12 +56,18 @@ class TransferSystem:
         self.pairs = frozenset(full)
         self._strict = self.pairs - {(P.star_key(V), V) for V in P.orbit_classes}
         if check:
+            # each pair set is checked once per presentation (sieve_of reads
+            # the same few off a whole list); a set that fails is not kept
+            passed = P._checked_transfer_pairs
+            if self.pairs in passed:
+                return
             for u, V in self.pairs:
                 if V not in P._slices or u not in P.slice_keys(V):
                     raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
             missing = closure(_transfer_rule(P), (), self.strict()) - self.pairs
             if missing:
                 raise ValueError(f"transfer system is not closed: missing {min(missing)}")
+            passed.add(self.pairs)
 
     def strict(self):
         """The admissible orbits other than the identities."""
@@ -99,7 +105,7 @@ class TransferSystem:
                 plus[(K, H)] = P.vset(H, [(star, 1), (K, 1)])
             bare[H] = frozenset([P.empty_vset(H), P.star_vset(H)]
                                 + [P.orbit_vset(H, K) for K in admissible])
-            folded[H] = bare[H].union([P.vset(H, [(star, 2)])],
+            folded[H] = bare[H].union([P.double_vset(H)],
                                       [plus[(K, H)] for K in admissible])
         return bare, folded, plus
 
@@ -264,7 +270,7 @@ def fold_left(P, family):
     for V in P.orbit_classes:
         base = [P.empty_vset(V), P.star_vset(V)]
         if V in fam:
-            base.append(P.vset(V, [(P.star_key(V), 2)]))
+            base.append(P.double_vset(V))
         levels[V] = frozenset(base)
     return WeakIndexingSystem.from_sparse(P, levels, validate=False)
 

@@ -17,8 +17,8 @@ coproducts, summand inclusion — is arithmetic on these multisets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 
 from .groups import GroupTable
 
@@ -58,23 +58,27 @@ def require_chain(P, subject):
 
 GROUP_ORDER_CAP = 60
 
-_setattr = object.__setattr__   # what frozen dataclasses use to set fields
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True, order=True, init=False)
+@functools.total_ordering
 class VSet:
     """A finite V-set: a multiset of slice orbits over the orbit class `over`.
 
     `orbits` is canonically sorted by key, multiplicities positive.  The empty
     multiset is the empty V-set; `{star: 1}` is the terminal one.
+
+    A V-set is immutable, equal and ordered by `(over, orbits)`, and keeps
+    `hash((over, orbits))`, worked out once.  Equal V-sets need not be the
+    same object, but a presentation hands out one shared object per value
+    (`OrbitalPresentation.vset`), so most lookups among those end at the
+    identity test.
     """
 
-    over: str
-    orbits: tuple = ()
+    __slots__ = ("over", "orbits", "_hash")
 
-    # Written out instead of a __post_init__ check: closures build hundreds
-    # of thousands of V-sets, and this way the check adds about 0.04 us to
-    # each construction instead of 0.13 us.
+    # The check is written out: closures build hundreds of thousands of
+    # V-sets, and this way it adds about 0.04 us to each construction.
     def __init__(self, over, orbits=()):
         prev = None
         for k, m in orbits:
@@ -84,6 +88,35 @@ class VSet:
             prev = k
         _setattr(self, "over", over)
         _setattr(self, "orbits", orbits)
+        _setattr(self, "_hash", hash((over, orbits)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return VSet, (self.over, self.orbits)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.over == other.over
+                and self.orbits == other.orbits)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.over, self.orbits) < (other.over, other.orbits)
+
+    def __repr__(self):
+        return f"VSet(over={self.over!r}, orbits={self.orbits!r})"
 
     def mult(self, key):
         for k, m in self.orbits:
@@ -108,8 +141,10 @@ class VSet:
         return VSet(self.over, tuple(sorted(acc.items())))
 
     def scale(self, n):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidSpec(f"factor {n!r} is not an integer")
         if n < 0:
-            raise ValueError("negative multiplicity")
+            raise InvalidSpec("negative multiplicity")
         if n == 0:
             return VSet(self.over)
         return VSet(self.over, tuple((k, n * m) for k, m in self.orbits))
@@ -154,6 +189,19 @@ class OrbitalPresentation:
         self.conjugator = dict(conjugator) if conjugator else None
         self._slice_hom_cache = {}
         self._slice_pres_cache = {}
+        self._checked_transfer_pairs = set()    # see fibrations.TransferSystem
+        # The intern table: per class, each canonical orbits tuple handed out
+        # and its one V-set.  The empty set, the point, the double point and
+        # the single orbits are made here; restrictions when first asked for.
+        self._vsets = {V: {} for V in self.orbit_classes}
+        self._empty = {V: self._shared(V, ()) for V in self.orbit_classes}
+        self._point = {V: self._shared(V, ((self._star[V], 1),))
+                       for V in self.orbit_classes}
+        self._double = {V: self._shared(V, ((self._star[V], 2),))
+                        for V in self.orbit_classes}
+        self._single = {(V, k): self._shared(V, ((k, 1),))
+                        for V in self.orbit_classes for k in self._slices[V]}
+        self._res_vsets = {}
 
     # -- basic lookups ----------------------------------------------------
 
@@ -178,7 +226,19 @@ class OrbitalPresentation:
 
     # -- V-set constructors -----------------------------------------------
 
+    def _shared(self, over, orbits):
+        """The one V-set of this presentation with these canonical orbits."""
+        table = self._vsets[over]
+        S = table.get(orbits)
+        if S is None:
+            S = table[orbits] = VSet(over, orbits)
+        return S
+
     def vset(self, over, pairs=()):
+        """The V-set with these (key, multiplicity) pairs, a dict or pairs in
+        any order, repeated keys adding up; the same object for equal input.
+        The table is looked up by the canonical orbits, never by the input,
+        in which 1, 1.0 and True are equal."""
         if over not in self._slices:
             raise InvalidSpec(f"unknown orbit class {over!r}")
         acc = {}
@@ -192,15 +252,29 @@ class OrbitalPresentation:
                 raise InvalidSpec("negative multiplicity")
             if m:
                 acc[k] = acc.get(k, 0) + m
-        return VSet(over, tuple(sorted(acc.items())))
+        return self._shared(over, tuple(sorted(acc.items())))
+
+    def _prebuilt(self, table, key):
+        try:
+            return table[key]
+        except KeyError:
+            raise InvalidSpec(f"unknown orbit class {key!r}") from None
 
     def empty_vset(self, V):
-        return self.vset(V)
+        return self._prebuilt(self._empty, V)
 
     def star_vset(self, V):
-        return self.vset(V, [(self._star[V], 1)])
+        return self._prebuilt(self._point, V)
+
+    def double_vset(self, V):
+        """The double point 2*star over V."""
+        return self._prebuilt(self._double, V)
 
     def orbit_vset(self, V, key, mult=1):
+        if mult == 1 and mult.__class__ is int:   # not True, not 1.0
+            S = self._single.get((V, key))
+            if S is not None:
+                return S
         return self.vset(V, [(key, mult)])
 
     def points(self, S):
@@ -227,11 +301,15 @@ class OrbitalPresentation:
 
     def restrict_orbit(self, V, w, u):
         """The pullback of slice orbit u along map-class w, over cls(w)."""
-        try:
-            pairs = self._res[(V, w, u)]
-        except KeyError:
-            raise NoSuchMap(f"no restriction entry ({V!r}, {w!r}, {u!r})") from None
-        return VSet(self._cls[(V, w)], pairs)
+        key = (V, w, u)
+        S = self._res_vsets.get(key)
+        if S is None:
+            try:
+                pairs = self._res[key]
+            except KeyError:
+                raise NoSuchMap(f"no restriction entry ({V!r}, {w!r}, {u!r})") from None
+            S = self._res_vsets[key] = self._shared(self._cls[(V, w)], pairs)
+        return S
 
     def restriction_keys(self, V, w, u):
         """The orbit keys of `restrict_orbit(V, w, u)`, without building it."""
@@ -358,9 +436,19 @@ def indexed_coproduct(P, S, T):
 # -- validation -----------------------------------------------------------
 
 
-@dataclass
 class ValidationReport:
-    checks: dict
+    """The verdict of each presentation axiom: name -> (ok, witness)."""
+
+    def __init__(self, checks):
+        self.checks = checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __repr__(self):
+        return f"ValidationReport(checks={self.checks!r})"
 
     @property
     def ok(self):

@@ -8,15 +8,14 @@ Only chain-shaped presentations are supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poset import closed_sets, closure
 from .presentation import require_chain
 from .fibrations import (
-    TransferSystem, _chain_fiber, transfer_codomain, transfer_domain,
-    transfer_of,
+    _chain_fiber, transfer_codomain, transfer_domain, transfer_of,
 )
 from .systems import YES
+
+_setattr = object.__setattr__
 
 
 class NotAdmissible(ValueError):
@@ -46,17 +45,42 @@ def is_sieve(P, R, scope, pairs):
             and closure(_sieve_rule(P, R, scope), (), pairs) == pairs)
 
 
-@dataclass(frozen=True)
 class Sieve:
-    R: TransferSystem
-    scope: frozenset
-    pairs: frozenset
+    """A sieve of the transfer system R on `scope`: immutable, and equal
+    and hashed by (R, scope, pairs)."""
 
-    def __post_init__(self):
-        P = self.R.P
-        require_chain(P, _CHAINS_ONLY)
-        if not is_sieve(P, self.R, self.scope, self.pairs):
+    __slots__ = ("R", "scope", "pairs")
+
+    def __init__(self, R, scope, pairs):
+        require_chain(R.P, _CHAINS_ONLY)
+        if not is_sieve(R.P, R, scope, pairs):
             raise ValueError("pairs do not form a sieve on the given scope")
+        _setattr(self, "R", R)
+        _setattr(self, "scope", scope)
+        _setattr(self, "pairs", pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Sieve, (self.R, self.scope, self.pairs)
+
+    def _content(self):
+        return self.R, self.scope, self.pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
+
+    def __repr__(self):
+        return f"Sieve(R={self.R!r}, scope={self.scope!r}, pairs={self.pairs!r})"
 
 
 def _sieve_sets(R, family):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import gsets
 from .poset import closure
@@ -70,15 +69,15 @@ def _sparse_table(P):
     table = {}
     for V in P.orbit_classes:
         star = P.star_key(V)
-        out = [P.empty_vset(V), P.star_vset(V), P.vset(V, [(star, 2)])]
+        out = [P.empty_vset(V), P.star_vset(V), P.double_vset(V)]
         nonterminal = [k for k in P.slice_keys(V) if k != star]
         for r in range(1, len(nonterminal) + 1):
             for combo in itertools.combinations(nonterminal, r):
                 if any(P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a)
                        for a, b in itertools.combinations(combo, 2)):
                     continue
-                body = P.vset(V, [(k, 1) for k in combo])
-                out += [body, body + P.star_vset(V)]
+                body = [(k, 1) for k in combo]
+                out += [P.vset(V, body), P.vset(V, body + [(star, 1)])]
         table[V] = (tuple(out), frozenset(out))
     bound = max(P.points(S) for universe, _ in table.values() for S in universe)
     return table, bound
@@ -256,11 +255,27 @@ def sparse_part(P, levels):
 # -- isotropy decomposition --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SparseDecomposition:
-    reduced: VSet          # the sparse reduced-isotropy set
-    retraction: dict       # orbit key of S -> orbit key of `reduced` it maps to
-    pieces: tuple          # components aligned with reduced.expand()
+    """S as a coproduct: `reduced`, the sparse reduced-isotropy set;
+    `retraction`, each orbit key of S -> the key of `reduced` it maps to;
+    `pieces`, the components aligned with `reduced.expand()`."""
+
+    __slots__ = ("reduced", "retraction", "pieces")
+
+    def __init__(self, reduced, retraction, pieces):
+        self.reduced = reduced
+        self.retraction = retraction
+        self.pieces = pieces
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.reduced, self.retraction, self.pieces)
+                == (other.reduced, other.retraction, other.pieces))
+
+    def __repr__(self):
+        return (f"SparseDecomposition(reduced={self.reduced!r}, "
+                f"retraction={self.retraction!r}, pieces={self.pieces!r})")
 
 
 def sparse_decompose(P, S):
@@ -284,8 +299,8 @@ def sparse_decompose(P, S):
     if not nonterminal and star_count > 1:
         # n copies of the point fold over the double point
         return SparseDecomposition(
-            P.vset(V, [(star, 2)]), {star: star},
-            (P.star_vset(V), P.star_vset(V).scale(star_count - 1)))
+            P.double_vset(V), {star: star},
+            (P.star_vset(V), P.orbit_vset(V, star, star_count - 1)))
 
     # The merge order in one pass (folding the least-keyed orbit that maps to
     # another survivor into the least-keyed survivor above it until none does
@@ -309,7 +324,7 @@ def sparse_decompose(P, S):
     pieces = []
     for w in reduced.expand():
         if w == star:
-            pieces.append(P.star_vset(V).scale(star_count))
+            pieces.append(P.orbit_vset(V, star, star_count))
             continue
         W = P.slice_cls(V, w)
         acc = P.empty_vset(W)
@@ -342,7 +357,7 @@ def sparse_member(P, levels, S):
     V = S.over
     star = P.star_key(V)
     if S.orbits[0][0] == star and len(S.orbits) == 1:
-        return (P.vset(V, [(star, 2)]) in levels[V]
+        return (P.double_vset(V) in levels[V]
                 and P.star_vset(V) in levels[V])
     d = sparse_decompose(P, S)
     return (d.reduced in levels[V]
@@ -397,7 +412,7 @@ def families_of_levels(P, levels):
     return {
         "color": having(P.star_vset),
         "unit": having(P.empty_vset),
-        "fold": having(lambda V: P.vset(V, [(P.star_key(V), 2)])),
+        "fold": having(P.double_vset),
         "eps": downward_closure(P, [V for V, mem in levels.items()
                                     if any(S != P.star_vset(V) for S in mem)]),
     }
@@ -814,7 +829,7 @@ def f_zero(P, family=None):
 def f_infinity(P, family=None):
     """All fold maps (every multiple of the point), on the given family."""
     return _on_family(P, family, "F^inf", lambda V: [
-        P.empty_vset(V), P.star_vset(V), P.vset(V, [(P.star_key(V), 2)])])
+        P.empty_vset(V), P.star_vset(V), P.double_vset(V)])
 
 
 def f_complete(P, family=None):

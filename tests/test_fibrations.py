@@ -143,6 +143,36 @@ def test_unclosed_transfer_rejected(C4):
         TransferSystem(C4, [("e", "C_99")])
 
 
+def test_transfer_check_runs_once_per_pair_set_and_presentation(monkeypatch):
+    from windex import fibrations
+    calls = []
+
+    def counted(rule, closed, new):
+        calls.append(frozenset(new))
+        return closure(rule, closed, new)
+
+    monkeypatch.setattr(fibrations, "closure", counted)
+    P = chain_group(2, 2)
+    TransferSystem(P, [("e", "C_2")])
+    TransferSystem(P, [("e", "C_2"), ("C_2", "C_2")])    # the same set
+    assert len(calls) == 1
+    # a second presentation, equal to the first, checks it anew
+    TransferSystem(chain_group(2, 2), [("e", "C_2")])
+    assert len(calls) == 2
+    # a set that fails is refused every time, also once its closure passed
+    closed = TransferSystem(P, [("e", "C_2"), ("e", "C_4")]).pairs
+    assert closed == transfer_closure(P, [("e", "C_4")]).pairs
+    del calls[:]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not closed"):
+            TransferSystem(P, [("e", "C_4")])
+        with pytest.raises(ValueError, match="not an orbit"):
+            TransferSystem(P, [("e", "C_99")])
+    assert len(calls) == 3
+    TransferSystem(P, [("e", "C_2"), ("e", "C_4")])
+    assert len(calls) == 3
+
+
 def test_transfer_of_named_systems(C4):
     R0, R1, R2, R3, R4 = _five_transfers(C4)
     assert transfer_of(f_zero(C4)) == R0

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from windex.presentation import (
@@ -260,3 +263,95 @@ def test_restriction_keys_need_table_entries():
         P.restriction_keys("C_2", "C_4", "e")
     with pytest.raises(NoSuchMap):
         P.restriction_keys("C_4", "nope", "e")
+
+
+INTERNED = {
+    "C4": lambda: chain_group(2, 2), "C9": lambda: chain_group(3, 2),
+    "C8": lambda: chain_group(2, 3),
+    "S3": lambda: finite_group(s3_table(), name="S3"),
+}
+
+
+@pytest.mark.parametrize("name", INTERNED)
+def test_vset_hands_out_one_object_per_value(name):
+    P = INTERNED[name]()
+    for V in P.orbit_classes:
+        star = P.star_key(V)
+        assert P.empty_vset(V) is P.vset(V) is P.vset(V, {})
+        assert P.star_vset(V) is P.vset(V, [(star, 1)]) is P.orbit_vset(V, star)
+        assert P.double_vset(V) is P.vset(V, {star: 2}) is \
+            P.vset(V, [(star, 1), (star, 1)]) is P.orbit_vset(V, star, 2)
+        for k in P.slice_keys(V):
+            assert P.orbit_vset(V, k) is P.vset(V, [(k, 1), (star, 0)])
+        for w in P.slice_keys(V):
+            for u in P.slice_keys(V):
+                S = P.restrict_orbit(V, w, u)
+                assert S is P.restrict_orbit(V, w, u)
+                assert S is P.vset(S.over, list(S.orbits))
+        for S in P.vsets_up_to(V, 6):
+            pairs = list(S.orbits)
+            got = P.vset(V, pairs)
+            assert got == S and got is not S
+            assert got is P.vset(V, pairs[::-1]) is P.vset(V, dict(pairs))
+            # built directly: equal by content, with the same hash
+            direct = VSet(S.over, S.orbits)
+            assert direct == got and got == direct
+            assert hash(direct) == hash(got) == hash((S.over, S.orbits))
+
+
+def test_vset_is_refused_after_its_value_is_interned():
+    # 1.0, True and 1 hash alike: a table keyed by raw input would let the
+    # first two through once the third was interned
+    P = chain_group(2, 2)
+    for V in P.orbit_classes:
+        for k in P.slice_keys(V):
+            P.vset(V, [(k, 1)])
+            P.orbit_vset(V, k)
+            for bad in ([(k, 1.0)], [(k, True)], [(k, -1)], {k: 1.0}):
+                with pytest.raises(InvalidSpec):
+                    P.vset(V, bad)
+            for mult in (1.0, True, -1, "1"):
+                with pytest.raises(InvalidSpec):
+                    P.orbit_vset(V, k, mult)
+        with pytest.raises(InvalidSpec):
+            P.vset(V, [("C_99", 1)])
+        with pytest.raises(InvalidSpec):
+            P.orbit_vset(V, "C_99")
+    for make in (P.star_vset, P.empty_vset, P.double_vset):
+        with pytest.raises(InvalidSpec):
+            make("C_99")
+    with pytest.raises(InvalidSpec):
+        P.orbit_vset("C_99", "e")
+    with pytest.raises(InvalidSpec):
+        P.vset("C_99")
+
+
+def test_vset_is_an_immutable_ordered_value():
+    P = chain_group(2, 2)
+    S = P.vset("C_4", [("e", 1), ("C_2", 2)])
+    with pytest.raises(AttributeError):
+        S.over = "C_2"
+    with pytest.raises(AttributeError):
+        S.orbits = ()
+    with pytest.raises(AttributeError):
+        del S.orbits
+    assert repr(S) == "VSet(over='C_4', orbits=(('C_2', 2), ('e', 1)))"
+    assert str(S) == "2*[C_2] + [e]@C_4"
+    assert sorted([P.star_vset("C_4"), S, P.empty_vset("C_2")]) == \
+        [P.empty_vset("C_2"), S, P.star_vset("C_4")]
+    assert P.empty_vset("C_2") < S <= S and S >= S > P.empty_vset("C_2")
+    assert S != ("C_4", S.orbits)
+    for twin in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S)):
+        assert twin == S and hash(twin) == hash(S)
+
+
+def test_vset_scale_refuses_factors_that_are_not_integers():
+    P = chain_group(2, 1)
+    point = P.star_vset("e")
+    for factor in (1.5, 2.0, True, False, "2"):
+        with pytest.raises(InvalidSpec):
+            point.scale(factor)
+    with pytest.raises(InvalidSpec):
+        point.scale(-1)
+    assert point.scale(0) == P.empty_vset("e")
+    assert point.scale(3) == P.vset("e", [("e", 3)])

@@ -1,4 +1,5 @@
 """Sieves and the fiberwise description of unital systems over chains."""
+import copy
 import itertools
 
 import pytest
@@ -51,6 +52,22 @@ def test_sieve_conditions_enforced(C4):
     with pytest.raises(ValueError):
         Sieve(R1, scope, frozenset([("C_2", "C_4")]))
     Sieve(R4, scope, frozenset([("e", "C_2")]))  # and this one is fine
+
+
+def test_sieve_is_an_immutable_value(C4):
+    R4 = enumerate_transfer_systems(C4)[4]
+    scope = frozenset(["C_2", "C_4"])
+    sv = Sieve(R4, scope, frozenset([("e", "C_2")]))
+    same = Sieve(transfer_closure(C4, R4.strict()), frozenset(scope),
+                 frozenset([("e", "C_2")]))
+    assert sv == same and hash(sv) == hash(same) and len({sv, same}) == 1
+    assert sv != Sieve(R4, scope, frozenset())
+    with pytest.raises(AttributeError):
+        sv.pairs = frozenset()
+    with pytest.raises(AttributeError):
+        del sv.scope
+    assert repr(sv).startswith("Sieve(R=<TransferSystem ")
+    assert copy.copy(sv) == sv
 
 
 @pytest.mark.parametrize("make", [

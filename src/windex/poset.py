@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import operator
 
@@ -137,54 +138,107 @@ class Poset:
 
     # -- isomorphism --------------------------------------------------------
 
-    def _signatures(self):
-        """Iterated refinement of node invariants; stable under isomorphism."""
+    def _hasse(self):
+        """Each element's upper and lower covers, as index lists, and its
+        lower covers as a mask."""
         n = len(self.elements)
-        up = [list(_bits(mask)) for mask in self._up]
-        down = [list(_bits(mask)) for mask in self._down]
-        sig = [(len(up[i]), len(down[i])) for i in range(n)]
-        for _ in range(n):
-            nxt = [(sig[i],
-                    tuple(sorted(sig[j] for j in up[i])),
-                    tuple(sorted(sig[j] for j in down[i])))
-                   for i in range(n)]
-            # re-encode as small ints to keep the tuples from growing
-            codes = {s: c for c, s in enumerate(sorted(set(nxt)))}
-            new = [codes[s] for s in nxt]
-            if new == sig:
-                break
-            sig = new
-        return sig
+        above = [list(_bits(mask)) for mask in self._cover_masks]
+        below, lower = [[] for _ in range(n)], [0] * n
+        for i, covers in enumerate(above):
+            for j in covers:
+                below[j].append(i)
+                lower[j] |= 1 << i
+        return above, below, lower
 
     def isomorphic(self, other):
-        """Order-isomorphism test; returns a mapping (index list) or None."""
+        """An order isomorphism onto `other` as an index list (element i goes
+        to mapping[i]), or None when there is none.
+
+        Colours: every element of both posets starts from (|up-set|,
+        |down-set|) and is refined by the colours of its upper and of its
+        lower covers, on the disjoint union of the two Hasse diagrams (so
+        that codes agree across them) until the number of colours stops
+        growing.  An isomorphism keeps colours, so i is mapped only into its
+        colour class of `other`.  Elements are placed in a connected order:
+        next, of the unplaced neighbours of placed elements, the one with the
+        fewest candidates; a new component only when none is left.  Mapping i
+        to j must carry i's upper and lower covers among the placed elements
+        onto j's among their images; where the class offers a choice, i's
+        whole up-set and down-set among them too, which cuts off wrong
+        choices early (on Boolean lattices the covers alone let the search
+        wander).  Each pair of elements is checked when the later of the two
+        is placed, so a complete mapping is a bijection that preserves and
+        reflects the cover relation: an isomorphism of Hasse diagrams, hence
+        of the orders, which are the reflexive-transitive closures of their
+        covers.  The search is depth-first on an explicit stack."""
         n = len(self.elements)
         if n != len(other.elements):
             return None
-        sa, sb = self._signatures(), other._signatures()
-        if sorted(sa) != sorted(sb):
+        hasse = [self._hasse(), other._hasse()]
+        colours = [[(up.bit_count(), down.bit_count())
+                    for up, down in zip(po._up, po._down)] for po in (self, other)]
+        count = 0
+        while True:
+            codes = {}
+            colours = [[codes.setdefault((c[i], tuple(sorted([c[k] for k in above[i]])),
+                                          tuple(sorted([c[k] for k in below[i]]))),
+                                         len(codes))
+                        for i in range(n)]
+                       for c, (above, below, _) in zip(colours, hasse)]
+            if len(codes) == count:
+                break
+            count = len(codes)
+        ca, cb = colours
+        if sorted(ca) != sorted(cb):
             return None
+        classes = {}
+        for j, c in enumerate(cb):
+            classes.setdefault(c, []).append(j)
+        candidates = [classes[c] for c in ca]
+        (above, below, lower), (_, _, lower_b) = hasse
+        order, seen = [], [False] * n
+        for start in sorted(range(n), key=lambda i: len(candidates[i])):
+            if seen[start]:
+                continue
+            seen[start] = True
+            frontier = [(len(candidates[start]), start)]
+            while frontier:
+                i = heapq.heappop(frontier)[1]
+                order.append(i)
+                for k in above[i] + below[i]:
+                    if not seen[k]:
+                        seen[k] = True
+                        heapq.heappush(frontier, (len(candidates[k]), k))
+        upper, upper_b = self._cover_masks, other._cover_masks
         ua, da, ub, db = self._up, self._down, other._up, other._down
-        candidates = [[j for j in range(n) if sb[j] == sa[i]] for i in range(n)]
-        order = sorted(range(n), key=lambda i: len(candidates[i]))
-        mapping = [None] * n
-        used = [False] * n
+        mapping, image_bit = [None] * n, [0] * n
+        placed = image = 0
+
+        def carried(mask):
+            return sum(image_bit[k] for k in _bits(mask & placed))
+
         tried = [0] * n         # candidates tried so far at each position
         pos = 0
         while pos < n:          # depth-first, on an explicit stack
             i = order[pos]
             if mapping[i] is not None:      # back here: drop the last choice
-                used[mapping[i]] = False
+                placed ^= 1 << i
+                image ^= image_bit[i]
                 mapping[i] = None
-            while tried[pos] < len(candidates[i]):
-                j = candidates[i][tried[pos]]
+            cands = candidates[i]
+            want = (carried(upper[i]), carried(lower[i]))
+            choice = len(cands) > 1
+            if choice:
+                full = (carried(ua[i]), carried(da[i]))
+            while tried[pos] < len(cands):
+                j = cands[tried[pos]]
                 tried[pos] += 1
-                if not used[j] and all(
-                        (ua[i] >> prev & 1) == (ub[j] >> mapping[prev] & 1)
-                        and (da[i] >> prev & 1) == (db[j] >> mapping[prev] & 1)
-                        for prev in order[:pos]):
-                    mapping[i] = j
-                    used[j] = True
+                if (not image >> j & 1
+                        and want == (upper_b[j] & image, lower_b[j] & image)
+                        and not (choice and full != (ub[j] & image, db[j] & image))):
+                    mapping[i], image_bit[i] = j, 1 << j
+                    placed |= 1 << i
+                    image |= 1 << j
                     break
             if mapping[i] is not None:
                 pos += 1

@@ -78,6 +78,44 @@ def vset_from_obj(P, obj):
         raise SerializationError(f"bad V-set {obj!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=16)
+def _read_over(P):
+    """What `system_from_obj` has read over P: each plain V-set entry
+    (`_plain_entry`) decoded, and each (class, level) checked sparse.  A
+    document of many systems holds few distinct entries and levels."""
+    return {}, set()
+
+
+def _plain_entry(obj):
+    """A V-set entry as a hashable key when its names are `str` and its
+    multiplicities exactly `int`, else None.  Only such entries are
+    remembered: 1, 1.0 and True hash alike, and `P.vset` refuses the last
+    two, so any other entry is decoded anew."""
+    if type(obj) is not dict or type(obj.get("over")) is not str \
+            or type(obj.get("orbits")) is not list:
+        return None
+    pairs = []
+    for pair in obj["orbits"]:
+        if type(pair) is not list or len(pair) != 2 \
+                or type(pair[0]) is not str or type(pair[1]) is not int:
+            return None
+        pairs.append((pair[0], pair[1]))
+    return obj["over"], tuple(pairs)
+
+
+def _read_vset(P, obj, decoded):
+    """`vset_from_obj`, remembered in `decoded` for plain entries: a plain
+    entry decodes the same way every time, and one that is refused is not
+    remembered."""
+    key = _plain_entry(obj)
+    S = decoded.get(key)
+    if S is None:
+        S = vset_from_obj(P, obj)
+        if key is not None:
+            decoded[key] = S
+    return S
+
+
 def system_to_obj(W):
     base = {"kind": "system", "presentation": W.P.spec}
     if W.label:
@@ -108,12 +146,17 @@ def system_from_obj(obj, validate=False):
                 isinstance(v, list) for v in raw.values()):
             raise SerializationError(
                 f"system levels must map classes to lists of V-sets, not {raw!r}")
+        decoded, checked = _read_over(P)
         levels = {}
         for V in P.orbit_classes:
-            levels[V] = frozenset(vset_from_obj(P, o) for o in raw.get(V, []))
-            for S in levels[V]:
+            level = levels[V] = frozenset(
+                _read_vset(P, o, decoded) for o in raw.get(V, []))
+            if (V, level) in checked:
+                continue
+            for S in level:
                 if S.over != V or not is_sparse(P, S):
                     raise SerializationError(f"level {V}: {S} is not a sparse {V}-set")
+            checked.add((V, level))
         extra = set(raw) - set(P.orbit_classes)
         if extra:
             raise SerializationError(f"levels at unknown classes {sorted(extra)}")

@@ -418,6 +418,20 @@ class MatrixPoset:
         return None
 
 
+def permuted_isomorphism(a, b):
+    """An order isomorphism from poset `a` onto poset `b` (element i to
+    mapping[i]), found by trying every permutation, or None: the oracle of
+    `Poset.isomorphic`, for a handful of elements."""
+    n = len(a)
+    if n != len(b):
+        return None
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for perm in itertools.permutations(range(n)):
+        if all(a.leq(i, j) == b.leq(perm[i], perm[j]) for i, j in pairs):
+            return list(perm)
+    return None
+
+
 def diamond_semilattice():
     """The four-element lattice 0 < a, b < 1 with a and b incomparable, as
     subsets of a two-element set meeting by intersection."""

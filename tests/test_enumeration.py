@@ -276,6 +276,25 @@ def test_fiberwise_height_four_count_is_prime_independent():
     assert len(enumerate_systems_fiberwise(chain_group(3, 4))) == 310
 
 
+def _unital_poset(p, n):
+    systems = enumerate_systems_fiberwise(chain_group(p, n))
+    return system_poset(systems, labels=[str(i) for i in range(len(systems))])
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3),
+                                  (3, 4), (5, 4), (3, 5)],
+                         ids=["C9", "C25", "C49", "C27", "C125", "C81", "C625",
+                              "C243"])
+def test_unital_poset_is_prime_independent(p, n):
+    """The poset of unital C_{p^n} systems is that of C_{2^n}: the mapping
+    found is a bijection that carries the covers onto the covers."""
+    two, other = _unital_poset(2, n), _unital_poset(p, n)
+    mapping = two.isomorphic(other)
+    assert mapping is not None and sorted(mapping) == list(range(len(two)))
+    assert sorted((mapping[i], mapping[j]) for i, j in two.covers()) == \
+        other.covers()
+
+
 @pytest.mark.slow
 def test_height_three_brute_equals_fiberwise(C8):
     for which in ("aE_unital", "unital", "almost_unital"):

@@ -3,12 +3,13 @@ covers and isomorphism."""
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
 from helpers import (
-    MatrixPoset, diamond_semilattice, pairwise_system_poset, q8_table,
-    s3_table, walked_closed_sets,
+    MatrixPoset, diamond_semilattice, pairwise_system_poset,
+    permuted_isomorphism, q8_table, s3_table, walked_closed_sets,
 )
 from windex import (
     chain_group, enumerate_families, enumerate_transfer_systems, finite_group,
@@ -201,6 +202,104 @@ def test_isomorphic_does_not_recurse_per_element():
         sys.setrecursionlimit(limit)
     assert mapping is not None
     assert all(copy.elements[mapping[i]] // 2 == i // 2 for i in elements)
+
+
+def _random_poset(rng, n):
+    """A seeded random order on n elements, numbered in a random order."""
+    below = {(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < rng.random()}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if (a, b) in below and (b, c) in below:
+            below.add((a, c))
+    return Poset(rng.sample(range(n), n),
+                 lambda a, b: a == b or (a, b) in below)
+
+
+def _profile(po):
+    """The sorted (|up-set|, |down-set|) of the elements."""
+    size = range(len(po))
+    return tuple(sorted((sum(po.leq(i, j) for j in size),
+                         sum(po.leq(j, i) for j in size)) for i in size))
+
+
+def _assert_isomorphism(a, b, mapping):
+    size = range(len(a))
+    assert mapping is not None and sorted(mapping) == list(size)
+    assert all(a.leq(i, j) == b.leq(mapping[i], mapping[j])
+               for i in size for j in size)
+
+
+def test_isomorphic_matches_permutation_oracle():
+    """Pairs of random posets of at most six elements, most of them with
+    equal (|up|, |down|) profiles, the colours the refinement starts from."""
+    rng = random.Random(19)
+    isomorphic = same_profile = 0
+    for n in range(7):
+        pool = [_random_poset(rng, n) for _ in range(800 if n == 6 else 60)]
+        by_profile = {}
+        for po in pool:
+            by_profile.setdefault(_profile(po), []).append(po)
+        pairs = [pair for group in by_profile.values()
+                 for pair in itertools.combinations(group[:8], 2)]
+        pairs += [tuple(rng.sample(pool, 2)) for _ in range(30)]
+        for a, b in pairs:
+            mapping, oracle = a.isomorphic(b), permuted_isomorphism(a, b)
+            assert (mapping is None) == (oracle is None)
+            if mapping is not None:
+                _assert_isomorphism(a, b, mapping)
+                isomorphic += 1
+            elif _profile(a) == _profile(b):
+                same_profile += 1
+    assert isomorphic > 1000 and same_profile >= 5
+
+
+def _product(*sizes):
+    """The product of chains 0 < 1 < ... < size - 1, componentwise."""
+    return list(itertools.product(*map(range, sizes))), \
+        lambda a, b: all(x <= y for x, y in zip(a, b))
+
+
+_HARD_CASES = {
+    **{f"B{k}": lambda k=k: _product(*[2] * k) for k in range(4, 9)},
+    "3^4": lambda: _product(3, 3, 3, 3),
+    "5^3": lambda: _product(5, 5, 5),
+    "ladder": lambda: (range(80), lambda a, b: a == b or a // 2 < b // 2),
+    "antichain": lambda: (range(40), lambda a, b: a == b),
+    "two_chains": lambda: ([(c, i) for c, size in enumerate((9, 6))
+                            for i in range(size)],
+                           lambda a, b: a[0] == b[0] and a[1] <= b[1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_HARD_CASES))
+def test_isomorphic_maps_shuffled_copies(name):
+    # under 1 s each: checking covers alone, without whole up-sets and
+    # down-sets at a choice, the search took 5.7 s over this B_8
+    elements, order = _HARD_CASES[name]()
+    elements = list(elements)
+    shuffled = random.Random(name).sample(elements, len(elements))
+    po, copy = Poset(elements, order), Poset(shuffled, order)
+    start = time.perf_counter()
+    mapping = po.isomorphic(copy)
+    assert time.perf_counter() - start < 1.0
+    _assert_isomorphism(po, copy, mapping)
+
+
+def test_isomorphic_refuses_posets_that_colours_do_not_tell_apart():
+    # a crown of eight elements and two crowns of four: each minimum has
+    # two upper covers and each maximum two lower covers, so colour
+    # refinement stops at (|up|, |down|); one Hasse diagram is connected
+    def crowns(size, count):
+        lows = [("low", c, i) for c in range(count) for i in range(size)]
+        above = {(low, ("high", low[1], (low[2] + step) % size))
+                 for low in lows for step in (0, 1)}
+        highs = [("high", c, i) for c in range(count) for i in range(size)]
+        return Poset(lows + highs, lambda a, b: a == b or (a, b) in above)
+
+    one, two = crowns(4, 1), crowns(2, 2)
+    assert _profile(one) == _profile(two)
+    assert one.isomorphic(two) is None and two.isomorphic(one) is None
+    assert one.isomorphic(crowns(4, 1)) is not None
 
 
 def _relation(rng, n):

@@ -200,6 +200,45 @@ def test_one_presentation_per_spec(C4, C8):
     assert R.P is fours[0].P
 
 
+def test_each_distinct_entry_is_decoded_once(monkeypatch):
+    P = chain_group(2, 4)
+    objs = [system_to_obj(W) for W in enumerate_systems_fiberwise(P, "unital")]
+    distinct = {json.dumps(o, sort_keys=True)
+                for obj in objs for level in obj["levels"].values() for o in level}
+    decoded = []
+    decode = serialize.vset_from_obj
+    monkeypatch.setattr(serialize, "vset_from_obj",
+                        lambda *args: decoded.append(1) or decode(*args))
+    serialize._read_over.cache_clear()
+    _through_text(objs)
+    assert len(decoded) == len(distinct) == 35     # of 6,700 entries
+
+
+def test_remembered_entries_are_refused_as_on_a_first_read(C4):
+    """Each bad entry follows a good copy of its value in its document, and
+    the document is read again after the good one."""
+    good = system_to_obj(f_zero(C4))
+    point = {"over": "e", "orbits": [["e", 1]]}
+    assert point in good["levels"]["e"]
+
+    def with_level(V, *entries):
+        return {**good, "levels": {**good["levels"], V: list(entries)}}
+
+    for bad, message in (
+            (with_level("e", point, {"over": "e", "orbits": [["e", 1.0]]}),
+             "multiplicity 1.0 is not an integer"),
+            (with_level("e", point, {"over": "e", "orbits": [["e", True]]}),
+             "multiplicity True is not an integer"),
+            (with_level("e", point, {"over": "e", "orbits": [["e", 1], ["e", 2]]}),
+             "level e: 3\\*\\[e\\]@e is not a sparse e-set"),
+            (with_level("C_2", point), "level C_2: .* is not a sparse C_2-set")):
+        serialize._read_over.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SerializationError, match=message):
+                system_from_obj(bad)
+            assert system_from_obj(good) == f_zero(C4)
+
+
 def test_bad_spec_refused_on_every_load(C2):
     obj = {**system_to_obj(f_zero(C2)),
            "presentation": {"backend": "chain", "p": 4, "n": 1}}

@@ -84,22 +84,13 @@ def _level_ok(P, V, members, levels):
     return True
 
 
-@functools.lru_cache(maxsize=1)
-def _level_names(P):
-    """The sorted member names of each level over P named so far, kept for
-    the last presentation asked about only: kept for sixteen, they added
-    1.2 MB to the peak memory of a lattice-c16 benchmark pass, which builds
-    a fresh presentation for each enumeration."""
-    return {}
-
-
 def _member_names(P, levels):
     """The sorted names of the members of each of the sparse `levels`, in the
-    order of P's orbit classes.  While P stays the last presentation asked
-    about, each distinct level is named once: systems share their levels and
-    members, and a frozenset keeps its hash, so a shared level costs one
-    lookup however many members it holds."""
-    names = _level_names(P)
+    order of P's orbit classes.  Each distinct level over P is named once,
+    in P's table of level names: systems share their levels and members,
+    and a frozenset keeps its hash, so a shared level costs one lookup
+    however many members it holds."""
+    names = P._level_names
     out = []
     for V in P.orbit_classes:
         level = levels[V]

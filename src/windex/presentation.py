@@ -164,6 +164,13 @@ def sub_multisets(S):
 
 
 class OrbitalPresentation:
+    """A presentation (see the module docstring).  What is derived from it
+    lives on it, as long as it does: the intern table (`vset`), each class's
+    sparse V-sets (`sparse_universes`, `sparse_sets`, `sparse_vset`,
+    `sparse_bound`), the slice maps and slices asked for, the transfer
+    systems checked (`fibrations.TransferSystem`) and the levels named
+    (`enumeration._member_names`)."""
+
     def __init__(self, key, spec, orbit_classes, slices, star, cls_of, points,
                  restriction, induction, group=None, class_rep=None, slice_rep=None,
                  subgroup_key=None, conjugator=None):
@@ -190,6 +197,7 @@ class OrbitalPresentation:
         self._slice_hom_cache = {}
         self._slice_pres_cache = {}
         self._checked_transfer_pairs = set()    # see fibrations.TransferSystem
+        self._level_names = {}                  # see enumeration._member_names
         # The intern table: per class, each canonical orbits tuple handed out
         # and its one V-set.  The empty set, the point, the double point and
         # the single orbits are made here; restrictions when first asked for.
@@ -399,6 +407,43 @@ class OrbitalPresentation:
             points=points, restriction=res, induction=ind)
         self._slice_pres_cache[V] = P
         return P
+
+    # -- sparse V-sets ------------------------------------------------------
+
+    @functools.cached_property
+    def sparse_universes(self):
+        """Each class's sparse V-sets, in `systems.sparse_universe` order."""
+        table = {}
+        for V in self.orbit_classes:
+            star = self._star[V]
+            out = [self._empty[V], self._point[V], self._double[V]]
+            nonterminal = [k for k in self._slices[V] if k != star]
+            for r in range(1, len(nonterminal) + 1):
+                for combo in itertools.combinations(nonterminal, r):
+                    if any(self.slice_hom_exists(V, a, b)
+                           or self.slice_hom_exists(V, b, a)
+                           for a, b in itertools.combinations(combo, 2)):
+                        continue
+                    body = [(k, 1) for k in combo]
+                    out += [self.vset(V, body), self.vset(V, body + [(star, 1)])]
+            table[V] = tuple(out)
+        return table
+
+    @functools.cached_property
+    def sparse_sets(self):
+        """Each class's sparse V-sets as a frozenset (`systems.is_sparse`)."""
+        return {V: frozenset(u) for V, u in self.sparse_universes.items()}
+
+    @functools.cached_property
+    def sparse_bound(self):
+        """Points of the largest sparse V-set at any class."""
+        return max(self.points(S) for u in self.sparse_universes.values()
+                   for S in u)
+
+    def sparse_vset(self, over, orbits):
+        """The sparse V-set over `over` with exactly these orbits, or None."""
+        S = self._vsets.get(over, {}).get(orbits)
+        return S if S is not None and S in self.sparse_sets[over] else None
 
     def __repr__(self):
         return f"<OrbitalPresentation {self.key}>"

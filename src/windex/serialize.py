@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 
 from .presentation import build_presentation
-from .systems import WeakIndexingSystem, _check_closed, is_sparse
+from .systems import WeakIndexingSystem, _check_closed
 from .fibrations import TransferSystem, is_family
 from .sieves import Sieve
 from .reps import RepDescriptor
@@ -78,19 +79,11 @@ def vset_from_obj(P, obj):
         raise SerializationError(f"bad V-set {obj!r}: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=16)
-def _read_over(P):
-    """What `system_from_obj` has read over P: each plain V-set entry
-    (`_plain_entry`) decoded, and each (class, level) checked sparse.  A
-    document of many systems holds few distinct entries and levels."""
-    return {}, set()
-
-
 def _plain_entry(obj):
     """A V-set entry as a hashable key when its names are `str` and its
-    multiplicities exactly `int`, else None.  Only such entries are
-    remembered: 1, 1.0 and True hash alike, and `P.vset` refuses the last
-    two, so any other entry is decoded anew."""
+    multiplicities exactly `int`, else None.  Only such entries are looked
+    up: 1, 1.0 and True hash alike, and `P.vset` refuses the last two, so
+    any other entry is decoded by `vset_from_obj`."""
     if type(obj) is not dict or type(obj.get("over")) is not str \
             or type(obj.get("orbits")) is not list:
         return None
@@ -103,17 +96,13 @@ def _plain_entry(obj):
     return obj["over"], tuple(pairs)
 
 
-def _read_vset(P, obj, decoded):
-    """`vset_from_obj`, remembered in `decoded` for plain entries: a plain
-    entry decodes the same way every time, and one that is refused is not
-    remembered."""
+def _read_vset(P, obj):
+    """`vset_from_obj`, looked up among P's sparse V-sets first: each entry
+    of a sparse level is one, so only an entry that is not plain or not
+    sparse is decoded and checked."""
     key = _plain_entry(obj)
-    S = decoded.get(key)
-    if S is None:
-        S = vset_from_obj(P, obj)
-        if key is not None:
-            decoded[key] = S
-    return S
+    S = None if key is None else P.sparse_vset(*key)
+    return vset_from_obj(P, obj) if S is None else S
 
 
 def system_to_obj(W):
@@ -122,9 +111,9 @@ def system_to_obj(W):
         base["label"] = W.label
     if W.form == "sparse":
         base["form"] = "sparse"
+        by_orbits = operator.attrgetter("orbits")
         base["levels"] = {
-            V: sorted((vset_to_obj(S) for S in W.sparse_levels[V]),
-                      key=lambda o: o["orbits"])
+            V: [vset_to_obj(S) for S in sorted(W.sparse_levels[V], key=by_orbits)]
             for V in W.P.orbit_classes}
     elif W.form == "generated":
         base["form"] = "generated"
@@ -146,17 +135,12 @@ def system_from_obj(obj, validate=False):
                 isinstance(v, list) for v in raw.values()):
             raise SerializationError(
                 f"system levels must map classes to lists of V-sets, not {raw!r}")
-        decoded, checked = _read_over(P)
         levels = {}
         for V in P.orbit_classes:
-            level = levels[V] = frozenset(
-                _read_vset(P, o, decoded) for o in raw.get(V, []))
-            if (V, level) in checked:
-                continue
-            for S in level:
-                if S.over != V or not is_sparse(P, S):
-                    raise SerializationError(f"level {V}: {S} is not a sparse {V}-set")
-            checked.add((V, level))
+            level = levels[V] = frozenset(_read_vset(P, o) for o in raw.get(V, []))
+            if not level <= P.sparse_sets[V]:
+                S = next(S for S in level if S not in P.sparse_sets[V])
+                raise SerializationError(f"level {V}: {S} is not a sparse {V}-set")
         extra = set(raw) - set(P.orbit_classes)
         if extra:
             raise SerializationError(f"levels at unknown classes {sorted(extra)}")
@@ -169,7 +153,7 @@ def system_from_obj(obj, validate=False):
     if form == "generated":
         raw = _need(obj, "generators", "system")
         bound = obj.get("bound")
-        if not isinstance(raw, list) or not (bound is None or isinstance(bound, int)):
+        if not isinstance(raw, list) or not (bound is None or type(bound) is int):
             raise SerializationError(
                 "a generated system needs a list of generators and an integer bound")
         gens = [vset_from_obj(P, o) for o in raw]

@@ -23,7 +23,6 @@ Equality and hashing go by content, whatever the backing (see
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 
 from . import gsets
@@ -62,36 +61,14 @@ def closure_bound(P, *vsets):
 # -- sparse V-sets ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _sparse_table(P):
-    """Sparseness decided once per presentation: each class's sparse V-sets
-    in `sparse_universe` order and as a set, and the points of the largest."""
-    table = {}
-    for V in P.orbit_classes:
-        star = P.star_key(V)
-        out = [P.empty_vset(V), P.star_vset(V), P.double_vset(V)]
-        nonterminal = [k for k in P.slice_keys(V) if k != star]
-        for r in range(1, len(nonterminal) + 1):
-            for combo in itertools.combinations(nonterminal, r):
-                if any(P.slice_hom_exists(V, a, b) or P.slice_hom_exists(V, b, a)
-                       for a, b in itertools.combinations(combo, 2)):
-                    continue
-                body = [(k, 1) for k in combo]
-                out += [P.vset(V, body), P.vset(V, body + [(star, 1)])]
-        table[V] = (tuple(out), frozenset(out))
-    bound = max(P.points(S) for universe, _ in table.values() for S in universe)
-    return table, bound
-
-
 def _unknown_class(P, V):
     return MixedPresentation(f"{V!r} is not an orbit class of {P.key}")
 
 
 def is_sparse(P, S):
     """Is S one of the sparse V-sets of `sparse_universe`?"""
-    table = _sparse_table(P)[0]
     try:
-        return S in table[S.over][1]
+        return S in P.sparse_sets[S.over]
     except KeyError:
         raise _unknown_class(P, S.over) from None
 
@@ -99,16 +76,15 @@ def is_sparse(P, S):
 def sparse_universe(P, V):
     """All sparse V-sets: the empty set, the point, the double point, and
     antichains of non-terminal orbits with or without a disjoint point."""
-    table = _sparse_table(P)[0]
     try:
-        return table[V][0]
+        return P.sparse_universes[V]
     except KeyError:
         raise _unknown_class(P, V) from None
 
 
 def sparse_bound(P):
     """Points of the largest sparse V-set anywhere in the presentation."""
-    return _sparse_table(P)[1]
+    return P.sparse_bound
 
 
 def downward_closure(P, classes):
@@ -248,8 +224,11 @@ def saturate(P, gens, bound, escape=None):
 
 
 def sparse_part(P, levels):
-    table = _sparse_table(P)[0]
-    return {V: table[V][1].intersection(mem) for V, mem in levels.items()}
+    try:
+        return {V: P.sparse_sets[V].intersection(mem)
+                for V, mem in levels.items()}
+    except KeyError as err:
+        raise _unknown_class(P, err.args[0]) from None
 
 
 # -- isotropy decomposition --------------------------------------------------
@@ -485,10 +464,10 @@ class WeakIndexingSystem:
         full = {V: frozenset(levels.get(V, ())) for V in P.orbit_classes}
         if validate:
             for V, mem in full.items():
-                for S in mem:
-                    if S.over != V or not is_sparse(P, S):
-                        raise NotClosed(f"level {V}: {S} is not a sparse {V}-set",
-                                        witness=S)
+                if not mem <= P.sparse_sets[V]:
+                    S = next(S for S in mem if S not in P.sparse_sets[V])
+                    raise NotClosed(f"level {V}: {S} is not a sparse {V}-set",
+                                    witness=S)
             _check_closed(P, full)
         return cls(P, sparse_levels=full, label=label)
 

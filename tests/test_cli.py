@@ -421,6 +421,14 @@ def test_windex_bound_env_failure(tmp_path, capsys):
     assert "below the largest generator" in capsys.readouterr().err
 
 
+def test_a_bool_bound_is_bad_input(tmp_path, capsys):
+    obj = system_to_obj(
+        WeakIndexingSystem.from_generators(C2, [C2.star_vset("e")]))
+    obj["bound"] = True
+    assert main(["validate", _write(tmp_path, "bool.json", obj)]) == 2
+    assert "an integer bound" in capsys.readouterr().err
+
+
 def test_installed_script_entry_point(tmp_path, monkeypatch):
     """The declared console script, started by name from PATH, runs the CLI
     of the code under test and passes its exit code on.

@@ -1,15 +1,17 @@
 """Exhaustive enumeration of system classes and their posets."""
 import collections
+import gc
 import random
+import weakref
 
 import pytest
 
 from windex import (
     MixedPresentation, TooLarge, UnsupportedBackend, WeakIndexingSystem,
     chain_group, classify, cyclic_group, enumerate_transfer_systems,
-    f_complete, f_infinity, f_trivial, f_zero, finite_group, fold_left, leq,
-    one_object_groupoid, system_label, system_poset, transfer_of,
-    transfer_to_indexing, trivial_point,
+    f_complete, f_infinity, f_trivial, f_zero, finite_group, fold_left,
+    is_sparse, leq, one_object_groupoid, system_label, system_poset,
+    transfer_of, transfer_to_indexing, trivial_point,
 )
 from windex.enumeration import (
     _in_output_order, _label_library, content_hash, enumerate_systems,
@@ -21,6 +23,22 @@ from helpers import (
     member_named_order, q8_table, s3_table, scanned_label,
     searched_indexing_systems, searched_systems,
 )
+
+
+def test_a_dropped_presentation_is_freed():
+    """What is derived from a presentation lives on it, so nothing keeps a
+    presentation alive once its systems are gone."""
+    def worked():
+        P = chain_group(2, 2)
+        systems = enumerate_systems_fiberwise(P, "unital")
+        assert enumerate_systems(P, "unital") == systems
+        assert len({content_hash(W) for W in systems}) == len(systems)
+        assert is_sparse(P, P.double_vset("e"))
+        return weakref.ref(P)
+
+    ref = worked()
+    gc.collect()
+    assert ref() is None
 
 
 def test_output_order_names_levels_as_the_member_oracle_names_members():

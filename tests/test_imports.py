@@ -78,3 +78,20 @@ def test_closure_engine_imports_no_package_module():
 def test_cycle_finder_sees_cycles():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_the_only_memo_is_the_presentation_of_a_spec():
+    """What is derived from a presentation lives on the presentation: the
+    one `functools` memo in the package maps spec text to a presentation."""
+    memos = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorated = {id(node): f"{path.stem}.{fn.name}"
+                     for fn in _functions(tree) if not isinstance(fn, ast.Lambda)
+                     for dec in fn.decorator_list for node in ast.walk(dec)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in ("lru_cache", "cache"):
+                memos.append(decorated.get(id(node), f"{path.name}:{node.lineno}"))
+    assert memos == ["serialize._presentation"]

@@ -92,6 +92,7 @@ def test_document_shapes_checked(C4):
         (system_from_obj, {**system, "levels": {"e": 5}}),
         (system_from_obj, {**generated, "generators": 5}),
         (system_from_obj, {**generated, "bound": "8"}),
+        (system_from_obj, {**generated, "bound": True}),
         (transfer_from_obj, {**transfer_to_obj(R), "pairs": [1, 2]}),
         (transfer_from_obj, {**transfer_to_obj(R), "pairs": [["e", "C_2", "C_4"]]}),
         (family_from_obj, {**family_to_obj(C4, ["e"]), "members": "e"}),
@@ -200,21 +201,23 @@ def test_one_presentation_per_spec(C4, C8):
     assert R.P is fours[0].P
 
 
-def test_each_distinct_entry_is_decoded_once(monkeypatch):
+def test_no_entry_of_a_sparse_document_is_decoded(monkeypatch):
+    """Each entry of a sparse level is one of the sparse V-sets of its
+    presentation, and is looked up among them."""
     P = chain_group(2, 4)
-    objs = [system_to_obj(W) for W in enumerate_systems_fiberwise(P, "unital")]
+    systems = enumerate_systems_fiberwise(P, "unital")
+    objs = [system_to_obj(W) for W in systems]
     distinct = {json.dumps(o, sort_keys=True)
                 for obj in objs for level in obj["levels"].values() for o in level}
     decoded = []
     decode = serialize.vset_from_obj
     monkeypatch.setattr(serialize, "vset_from_obj",
-                        lambda *args: decoded.append(1) or decode(*args))
-    serialize._read_over.cache_clear()
-    _through_text(objs)
-    assert len(decoded) == len(distinct) == 35     # of 6,700 entries
+                        lambda *args: decoded.append(args[1]) or decode(*args))
+    assert _through_text(objs) == systems
+    assert len(distinct) == 35 and decoded == []     # of 6,700 entries
 
 
-def test_remembered_entries_are_refused_as_on_a_first_read(C4):
+def test_refusals_do_not_depend_on_what_was_read_before(C4):
     """Each bad entry follows a good copy of its value in its document, and
     the document is read again after the good one."""
     good = system_to_obj(f_zero(C4))
@@ -232,11 +235,32 @@ def test_remembered_entries_are_refused_as_on_a_first_read(C4):
             (with_level("e", point, {"over": "e", "orbits": [["e", 1], ["e", 2]]}),
              "level e: 3\\*\\[e\\]@e is not a sparse e-set"),
             (with_level("C_2", point), "level C_2: .* is not a sparse C_2-set")):
-        serialize._read_over.cache_clear()
         for _ in range(2):
             with pytest.raises(SerializationError, match=message):
                 system_from_obj(bad)
             assert system_from_obj(good) == f_zero(C4)
+
+
+def test_interned_vsets_that_are_not_sparse_are_refused(C4):
+    good = system_to_obj(f_zero(C4))
+    P = system_from_obj(good).P
+    triple = P.vset("e", [("e", 3)])       # interned by P, not sparse
+    assert P.sparse_vset("e", triple.orbits) is None
+    bad = {**good, "levels": {**good["levels"], "e": [vset_to_obj(triple)]}}
+    message = r"level e: 3\*\[e\]@e is not a sparse e-set"
+    with pytest.raises(SerializationError, match=message):
+        system_from_obj(bad)
+    with pytest.raises(NotClosed, match=message):
+        WeakIndexingSystem.from_sparse(P, {"e": [triple]})
+
+
+def test_levels_are_encoded_in_order_of_their_orbits():
+    systems = enumerate_systems_fiberwise(chain_group(2, 4), "unital")
+    for W in systems:
+        want = {V: sorted((vset_to_obj(S) for S in W.sparse_levels[V]),
+                          key=lambda o: o["orbits"])
+                for V in W.P.orbit_classes}
+        assert system_to_obj(W)["levels"] == want
 
 
 def test_bad_spec_refused_on_every_load(C2):

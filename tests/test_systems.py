@@ -591,6 +591,11 @@ def test_sparse_universe_refuses_a_class_of_another_presentation(C2):
         sparse_universe(C2, "C_4")
 
 
+def test_sparse_part_refuses_a_class_of_another_presentation(C2):
+    with pytest.raises(MixedPresentation, match="'C_4' is not an orbit class"):
+        sparse_part(C2, {"C_4": frozenset()})
+
+
 def test_sparse_decompose_refuses_a_vset_of_another_presentation(C2, C4):
     for S in (C4.star_vset("C_4"), C4.vset("C_4", [("C_4", 3)]),
               C4.orbit_vset("C_4", "e")):

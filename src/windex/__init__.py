@@ -15,7 +15,7 @@ from .systems import (
     INDETERMINATE, NO, YES, BoundTooSmall, MixedPresentation, NotClosed,
     WeakIndexingSystem, bor_system, classify, closure_bound, coinduce_wis,
     downward_closure, e_system, f_complete, f_infinity, f_perp_nu, f_trivial,
-    f_zero, families, is_sparse, join, leq, meet, member, multiplicative_hull,
+    f_zero, is_sparse, join, leq, meet, multiplicative_hull,
     saturate, slice_restrict_wis, sparse_bound, sparse_decompose,
     sparse_extract, sparse_generate, sparse_part, sparse_universe,
     validate_wic,

@@ -57,10 +57,8 @@ def _group_presentation(name):
     raise SerializationError(f"unknown group {name!r}")
 
 
-def _write_or_print(text, out, exact=True):
-    """Write `text` to the file `out`, or to stdout without one.  A text that
-    is only a sparse underapproximation (`exact` false) is marked on the
-    `wrote` line, or on stderr, so that stdout stays one document."""
+def _write_or_print(text, out):
+    """Write `text` to the file `out`, or to stdout without one."""
     if out:
         try:
             with open(out, "w") as fh:
@@ -68,11 +66,16 @@ def _write_or_print(text, out, exact=True):
         except OSError as exc:
             raise SerializationError(
                 f"cannot write {out}: {exc.strerror or exc}") from exc
-        print(f"wrote {out}" + ("" if exact else " (sparse underapproximation)"))
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
-        if not exact:
-            print("note: sparse underapproximation", file=sys.stderr)
+
+
+def _write_system(W, out):
+    """Write W's document: its exact sparse form when its sparse members
+    describe it, else W as stored (generators and bound)."""
+    _write_or_print(
+        serialize.dumps(serialize.system_to_obj(sparse_extract(W)[0])), out)
 
 
 def _load_system(path):
@@ -129,10 +132,7 @@ def cmd_validate(args):
 def cmd_join(args):
     A = _load_system(args.a)
     B = _load_system(args.b)
-    W = join(A, B)
-    sp, exact = sparse_extract(W)
-    text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out, exact)
+    _write_system(join(A, B), args.out)
     return 0
 
 
@@ -177,9 +177,7 @@ def cmd_transport(args):
     except TargetNotAbove as exc:
         print(f"target not above the current value: {exc}")
         return 1
-    sp, exact = sparse_extract(result)
-    text = serialize.dumps(serialize.system_to_obj(sp))
-    _write_or_print(text, args.out, exact)
+    _write_system(result, args.out)
     return 0
 
 
@@ -191,8 +189,7 @@ def cmd_rep(args):
     print(f"{args.name} over {P.key}: fixed dimensions {dims}")
     flags = classify(W)
     print("arity support class: " + ", ".join(k for k, v in flags.items() if v))
-    text = serialize.dumps(serialize.system_to_obj(W))
-    _write_or_print(text, args.out)
+    _write_system(W, args.out)
     return 0
 
 
@@ -201,8 +198,7 @@ def cmd_hull(args):
     H = multiplicative_hull(W, component_bound=args.component_bound)
     flags = classify(H)
     print("hull class: " + ", ".join(k for k, v in flags.items() if v))
-    text = serialize.dumps(serialize.system_to_obj(H))
-    _write_or_print(text, args.out)
+    _write_system(H, args.out)
     return 0
 
 

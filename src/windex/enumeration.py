@@ -120,8 +120,8 @@ def _from_unital(P, unital, which):
     """The systems of the class `which` built from the list of every unital
     system, deduplicated and sorted: each unital W truncated to a family F
     plus the point on a family C containing F (W's levels on F, the point
-    alone on C - F, nothing elsewhere), with F = C = every class for unital
-    and C = every class for almost-unital.
+    alone on C - F, nothing elsewhere), with C = every class for
+    almost-unital.
 
     Such a system is closed (members on F restrict and combine inside F as
     in W, and the point restricts to the point), and its unit and eps
@@ -142,8 +142,7 @@ def _from_unital(P, unital, which):
     everything = frozenset(P.orbit_classes)
     families = enumerate_families(P)
     tops = families if which == "aE_unital" else [everything]
-    pairs = [(F, C) for C in tops for F in families
-             if F <= C and (which != "unital" or F == C)]
+    pairs = [(F, C) for C in tops for F in families if F <= C]
     out = {}
     for W, (F, C) in itertools.product(unital, pairs):
         levels = {V: W.sparse_levels[V] if V in F else frozenset(

@@ -876,4 +876,6 @@ def build_presentation(spec):
         return one_object_groupoid(spec.get("order", 1))
     if b == "point":
         return trivial_point()
+    if b == "slice":
+        return build_presentation(spec["parent"]).slice_presentation(spec["at"])
     raise InvalidSpec(f"unknown backend {b!r}")

@@ -424,7 +424,9 @@ class WeakIndexingSystem:
     member its inputs know of).  Systems are equal when their content is:
     the sparse levels whenever those describe the system faithfully, else
     the bound and known levels of a bounded system.  A predicate without a
-    faithful sparse form has no finite content and is equal only to itself.
+    faithful sparse form has no finite content and is equal only to itself:
+    no bound fixed in advance tells two predicates apart, since over the
+    point {n*pt : n = 1 or n >= k} is a system for every k >= 2.
     """
 
     def __init__(self, P, sparse_levels=None, oracle=None, gens=None,
@@ -459,8 +461,12 @@ class WeakIndexingSystem:
         Validation checks that every input is sparse, that the inputs are
         exactly the sparse members of the system they generate, and that the
         result is almost essentially unital (which is what makes the sparse
-        data a faithful description).
+        data a faithful description).  A level at a class P does not have
+        raises MixedPresentation, validated or not.
         """
+        for V in levels:
+            if V not in P._slices:
+                raise _unknown_class(P, V)
         full = {V: frozenset(levels.get(V, ())) for V in P.orbit_classes}
         if validate:
             for V, mem in full.items():
@@ -597,14 +603,6 @@ class WeakIndexingSystem:
 # -- module-level operations ---------------------------------------------
 
 
-def member(W, S):
-    return W.member(S)
-
-
-def families(W):
-    return W.families()
-
-
 def classify(W):
     fam = W.families()
     everything = frozenset(W.P.orbit_classes)
@@ -699,20 +697,15 @@ def meet(W1, W2):
 
 
 def sparse_extract(W):
-    """The sparse members of W, plus whether they describe W faithfully.
-
-    Faithful means the system is almost essentially unital and no membership
-    query came back indeterminate; then the result is an exact sparse form.
-    Otherwise the (still correct) sparse members are returned as a generated
-    form, which underapproximates W.
-    """
+    """W's exact sparse form and True when its sparse members describe it
+    (it is almost essentially unital and no membership query came back
+    indeterminate), else W itself and False: never another system."""
     if W.sparse_levels is not None:
         return W, True
     _, sparse, faithful = W._levels()
-    if faithful:
-        return WeakIndexingSystem.from_sparse(W.P, sparse, validate=False), True
-    gens = [S for mem in sparse.values() for S in mem]
-    return WeakIndexingSystem.from_generators(W.P, gens), False
+    if not faithful:
+        return W, False
+    return WeakIndexingSystem.from_sparse(W.P, sparse, validate=False), True
 
 
 def sparse_generate(P, levels):

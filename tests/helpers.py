@@ -454,6 +454,13 @@ def level_sets(W):
             for V in W.P.orbit_classes}
 
 
+def generated_by_sparse_members(W):
+    """The system generated by W's sparse members at the default bound: W
+    itself only when those describe it."""
+    return WeakIndexingSystem.from_generators(
+        W.P, [S for mem in W.sparse().values() for S in mem])
+
+
 def saturated_minimal_unital(R):
     """The smallest unital system with the admissible orbits of R, by closing
     the empty set, the point and the admissible orbits."""

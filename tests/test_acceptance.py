@@ -23,7 +23,7 @@ from windex import (
 )
 from windex.gsets import disjoint_union, induce_concrete, require_group
 
-from helpers import chain_restrict_oracle
+from helpers import chain_restrict_oracle, generated_by_sparse_members
 
 # Hasse diagram of the 13 aE-unital systems over a height-one chain, nodes
 # numbered bottom-up (1 the empty system, 13 the complete one).
@@ -288,7 +288,7 @@ def test_criterion_08_property_suites(C2, C3, C4):
             C2, [C2.star_vset("C_2").scale(2)]))
         pool.append(WeakIndexingSystem.from_generators(
             C2, [C2.orbit_vset("C_2", "e") + C2.star_vset("C_2")]))
-        pool.append(sparse_extract(f_perp_nu(C2, frozenset()))[0])
+        pool.append(generated_by_sparse_members(f_perp_nu(C2, frozenset())))
         unit_grew = 0
         for W1, W2 in itertools.product(pool, repeat=2):
             f1, f2 = W1.families(), W2.families()

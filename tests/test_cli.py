@@ -11,9 +11,9 @@ import pytest
 
 import windex
 from windex import (
-    TransferSystem, WeakIndexingSystem, chain_group, dump, f_complete,
-    f_infinity, f_trivial, f_zero, family_to_obj, fold_left, system_from_obj,
-    system_to_obj, transfer_to_obj,
+    YES, TransferSystem, WeakIndexingSystem, chain_group, cocartesian_transport,
+    dump, f_complete, f_infinity, f_trivial, f_zero, family_to_obj, fold_left,
+    join, system_from_obj, system_to_obj, transfer_of, transfer_to_obj,
 )
 from windex.cli import main
 
@@ -247,33 +247,43 @@ def test_transport_transfer_fold(tmp_path, capsys):
     assert W == expected
 
 
-def test_transport_says_when_it_writes_an_underapproximation(tmp_path, capsys):
-    # three free orbits over C_2 are not an aE-unital system, so only its
-    # sparse members are written, as `join` does
-    w = _write(tmp_path, "w.json", system_to_obj(
-        WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)])))
+def _three_free_orbits(tmp_path):
+    # generated by 3*[e]@C_2: not aE-unital, so no sparse form describes it
+    W = WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)])
+    w = _write(tmp_path, "w.json", system_to_obj(W))
     fam = _write(tmp_path, "fam.json", family_to_obj(C2, ["e", "C_2"]))
-    out = tmp_path / "t.json"
-    assert main(["transport", "--map", "color", "--to", fam, w,
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote {out} (sparse underapproximation)\n"
-    assert main(["join", w, w, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote {out} (sparse underapproximation)\n"
+    return W, w, fam
 
 
-def test_stdout_underapproximation_is_noted_on_stderr(tmp_path, capsys):
-    # generator 3*[e]@C_2: without --out stdout stays one JSON document
-    w = _write(tmp_path, "w.json", system_to_obj(
-        WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)])))
-    fam = _write(tmp_path, "fam.json", family_to_obj(C2, ["e", "C_2"]))
+def test_join_and_transport_write_the_computed_system(tmp_path, capsys):
+    W, w, fam = _three_free_orbits(tmp_path)
+    three = C2.orbit_vset("C_2", "e", 3)
+    runs = [
+        (["join", w, w], join(W, W)),
+        (["transport", "--map", "color", "--to", fam, w],
+         cocartesian_transport("color", W, frozenset(["e", "C_2"]))),
+    ]
+    for i, (argv, want) in enumerate(runs):
+        out = tmp_path / f"out{i}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote {out}\n", "")
+        got = system_from_obj(json.loads(out.read_text()))
+        assert got == want
+        assert got.member(three) == want.member(three) == YES
+
+
+def test_stdout_holds_the_document_alone(tmp_path, capsys):
+    W, w, fam = _three_free_orbits(tmp_path)
     for argv in (["join", w, w], ["transport", "--map", "color", "--to", fam, w]):
         assert main(argv) == 0
         got = capsys.readouterr()
-        assert json.loads(got.out)["kind"] == "system"
-        assert got.err == "note: sparse underapproximation\n"
+        assert got.err == ""
+        assert system_from_obj(json.loads(got.out)).form == "generated"
     exact = _write(tmp_path, "exact.json", system_to_obj(f_complete(C4)))
     assert main(["join", exact, exact]) == 0
-    assert capsys.readouterr().err == ""
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert system_from_obj(json.loads(got.out)) == f_complete(C4)
 
 
 def test_transport_unreachable_target(tmp_path, capsys):
@@ -281,6 +291,18 @@ def test_transport_unreachable_target(tmp_path, capsys):
     fam = _write(tmp_path, "fam.json", family_to_obj(C4, ["e"]))
     assert main(["transport", "--map", "fold", "--to", fam, w]) == 1
     assert "target not above" in capsys.readouterr().out
+    # transfer-fold: either part of the target can be too low
+    own = [[u, V] for u, V in transfer_of(f_infinity(C4)).strict()]
+    for W, pairs, family, what in [
+            (f_complete(C4), [], C4.orbit_classes, "transfer system"),
+            (f_infinity(C4), own, ["e"], "fold family")]:
+        w = _write(tmp_path, "w.json", system_to_obj(W))
+        to = _write(tmp_path, "to.json", {
+            "presentation": C4.spec, "transfer": pairs, "family": list(family)})
+        assert main(["transport", "--map", "transfer-fold", "--to", to, w]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("target not above the current value: ")
+        assert what in out
 
 
 def test_transport_rejects_unknown_map(tmp_path):

@@ -7,9 +7,9 @@ from windex import (
     NO, NotUnital, TargetNotAbove, TransferSystem, WeakIndexingSystem,
     YES, chain_group, classify, cocartesian_transport, cyclic_group,
     enumerate_families, enumerate_systems_fiberwise,
-    enumerate_transfer_systems, f_complete, f_trivial, f_zero, finite_group,
-    fold_left, fold_right, is_family, join, leq, minimal_unital,
-    one_object_groupoid, transfer_closure, transfer_codomain,
+    enumerate_transfer_systems, f_complete, f_infinity, f_trivial, f_zero,
+    finite_group, fold_left, fold_right, is_family, join, leq,
+    minimal_unital, one_object_groupoid, transfer_closure, transfer_codomain,
     transfer_domain, transfer_of, transfer_to_indexing, trivial_point,
 )
 from windex.enumeration import enumerate_systems
@@ -316,12 +316,39 @@ def test_transport_universal_property(C4):
     assert checked > 20
 
 
+def test_transport_along_transfer_is_least_with_that_transfer_system(C4):
+    unital = enumerate_systems(C4, "unital")
+    landed = 0
+    for W, R in itertools.product(unital, enumerate_transfer_systems(C4)):
+        if not transfer_of(W) <= R:
+            with pytest.raises(TargetNotAbove):
+                cocartesian_transport("transfer", W, R)
+            continue
+        T = cocartesian_transport("transfer", W, R)
+        assert leq(W, T) == YES
+        assert transfer_of(T) == R
+        assert T in unital
+        for Y in unital:
+            if leq(W, Y) == YES and R <= transfer_of(Y):
+                assert leq(T, Y) == YES
+        landed += 1
+    assert landed > 21
+
+
 def test_transport_rejects_lower_target(C4):
     with pytest.raises(TargetNotAbove):
         cocartesian_transport("fold", f_complete(C4), frozenset(["e"]))
     with pytest.raises(TargetNotAbove):
         cocartesian_transport(
             "transfer", f_complete(C4), TransferSystem(C4, []))
+    # transfer-fold: either part of the target can be too low
+    with pytest.raises(TargetNotAbove, match="transfer system"):
+        cocartesian_transport("transfer-fold", f_complete(C4),
+                              (TransferSystem(C4, []), C4.orbit_classes))
+    W = f_infinity(C4)
+    with pytest.raises(TargetNotAbove, match="fold family"):
+        cocartesian_transport("transfer-fold", W,
+                              (transfer_of(W), frozenset(["e"])))
     with pytest.raises(ValueError):
         cocartesian_transport("nope", f_zero(C4), frozenset())
 

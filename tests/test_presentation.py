@@ -4,10 +4,10 @@ import pickle
 import pytest
 
 from windex.presentation import (
-    InvalidSpec, MismatchedIndex, NoSuchMap, VSet, build_presentation,
-    chain_group, cyclic_group, finite_group, indexed_coproduct,
-    meet_semilattice, one_object_groupoid, sub_multisets, trivial_point,
-    validate_presentation,
+    InvalidSpec, MismatchedIndex, NoSuchMap, OrbitalPresentation, VSet,
+    build_presentation, chain_group, cyclic_group, finite_group,
+    indexed_coproduct, meet_semilattice, one_object_groupoid, sub_multisets,
+    trivial_point, validate_presentation,
 )
 
 from helpers import (
@@ -192,6 +192,72 @@ def test_slice_presentation_of_s3_slice_validates():
         Q = P.slice_presentation(V)
         report = validate_presentation(Q)
         assert report.ok, (V, report.failures)
+
+
+def _tables(P):
+    return (P.key, P.spec, P.orbit_classes, P._slices, P._star, P._cls,
+            P._points, P._res, P._ind)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_group(2, 2), lambda: finite_group(s3_table(), name="S3"),
+    diamond_lattice, trivial_point, lambda: one_object_groupoid(2),
+    lambda: cyclic_group(2, 3),
+], ids=["C4", "S3", "diamond", "point", "BG2", "C8-table"])
+def test_slice_specs_build_the_slice(make):
+    P = make()
+    for V in P.orbit_classes:
+        Q = P.slice_presentation(V)
+        assert _tables(build_presentation(Q.spec)) == _tables(Q)
+        for u in Q.orbit_classes:
+            QQ = Q.slice_presentation(u)
+            assert _tables(build_presentation(QQ.spec)) == _tables(QQ)
+
+
+def _corrupted(P, table, key, value):
+    """A copy of P with one entry of one of its tables changed."""
+    tables = {"restriction": dict(P._res), "induction": dict(P._ind),
+              "points": dict(P._points)}
+    assert key in tables[table]
+    tables[table][key] = value
+    return OrbitalPresentation(
+        key=P.key, spec=P.spec, orbit_classes=P.orbit_classes,
+        slices=P._slices, star=P._star, cls_of=P._cls, **tables)
+
+
+# each axiom of validate_presentation, and one C_4 table entry that breaks it
+CORRUPTIONS = {
+    "identity-restriction": ("restriction", ("C_4", "C_4", "C_2"), [("C_4", 2)]),
+    "terminal-to-terminal": ("restriction", ("C_4", "C_2", "C_4"), [("e", 1)]),
+    "point-count-preservation": ("restriction", ("C_4", "e", "C_2"), [("e", 3)]),
+    "restriction-pasting": ("restriction", ("C_2", "C_2", "e"), [("C_2", 2)]),
+    "atomicity": ("induction", ("C_4", "C_2", "e"), "C_4"),
+    "fixed-point-property": ("restriction", ("C_4", "C_2", "C_2"), [("e", 1)]),
+    "induction-unit": ("induction", ("C_4", "C_2", "C_2"), "C_4"),
+    "induction-point-count": ("points", ("C_4", "e"), 5),
+    "induction-class-preservation": ("induction", ("C_4", "C_2", "e"), "C_2"),
+    "induction-associativity": ("induction", ("C_2", "C_2", "e"), "C_2"),
+}
+
+
+def test_every_axiom_has_a_corruption():
+    assert set(CORRUPTIONS) == set(validate_presentation(chain_group(2, 2)).checks)
+
+
+@pytest.mark.parametrize("axiom", CORRUPTIONS)
+def test_a_corrupted_table_fails_its_axiom(axiom):
+    report = validate_presentation(_corrupted(chain_group(2, 2), *CORRUPTIONS[axiom]))
+    ok, witness = report.checks[axiom]
+    assert not ok and witness
+    assert not report.ok
+    assert report.failures[axiom] == witness
+    assert report.failures == {
+        name: w for name, (ok, w) in report.checks.items() if not ok}
+    lines = str(report).splitlines()
+    assert f"FAIL {axiom}: {witness}" in lines
+    assert len(lines) == len(report.checks)
+    assert sum(line.startswith("PASS ") for line in lines) == \
+        len(report.checks) - len(report.failures)
 
 
 def test_hom_exists_is_occurrence_as_slice():

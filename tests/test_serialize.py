@@ -6,10 +6,12 @@ import pytest
 from helpers import diamond_semilattice, s3_table
 from windex import (
     NotClosed, SerializationError, Sieve, TransferSystem, WeakIndexingSystem,
-    chain_group, dump, dumps, f_zero, family_from_obj, family_to_obj,
-    finite_group, load, named_rep, rep_from_obj, rep_to_obj, serialize,
-    sieve_from_obj, sieve_to_obj, system_from_obj, system_to_obj,
-    transfer_from_obj, transfer_to_obj, vset_from_obj, vset_to_obj,
+    chain_group, classify, dump, dumps, f_complete, f_zero, family_from_obj,
+    family_to_obj, finite_group, load, named_rep, one_object_groupoid,
+    rep_from_obj, rep_to_obj, serialize, sieve_from_obj, sieve_to_obj,
+    slice_restrict_wis, sparse_extract, system_from_obj, system_to_obj,
+    transfer_from_obj, transfer_to_obj, trivial_point, vset_from_obj,
+    vset_to_obj,
 )
 from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 from windex.systems import f_perp_nu
@@ -38,6 +40,55 @@ def test_generated_system_round_trip(C4):
     again = system_from_obj(obj)
     assert again.form == "generated"
     assert again.gens == W.gens and again.bound == W.bound
+
+
+ROUND_TRIP_PRESENTATIONS = {
+    "C4": lambda: chain_group(2, 2), "C9": lambda: chain_group(3, 2),
+    "S3": lambda: finite_group(s3_table(), name="S3"),
+    "diamond": diamond_semilattice, "point": trivial_point,
+    "BG2": lambda: one_object_groupoid(2),
+}
+
+
+def _written_form_reads_back_equal(W):
+    written = sparse_extract(W)[0]
+    assert written == W
+    assert system_from_obj(system_to_obj(written)) == W
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_PRESENTATIONS)
+def test_written_systems_read_back_equal(name):
+    P = ROUND_TRIP_PRESENTATIONS[name]()
+    for W in enumerate_systems(P, "aE_unital"):
+        _written_form_reads_back_equal(W)
+    for V in P.orbit_classes:
+        _written_form_reads_back_equal(f_complete(P.slice_presentation(V)))
+
+
+def test_written_generated_systems_read_back_equal(C2, C4):
+    star_e = C2.star_vset("e")
+    cases = [
+        WeakIndexingSystem.from_generators(C2, [C2.orbit_vset("C_2", "e", 3)]),
+        WeakIndexingSystem.from_generators(C2, [star_e.scale(3)]),
+        WeakIndexingSystem.from_generators(C2, [star_e.scale(2)], bound=5),
+        WeakIndexingSystem.from_generators(
+            C2, [C2.empty_vset("e"), C2.empty_vset("C_2"), C2.star_vset("C_2")]),
+        WeakIndexingSystem.from_generators(
+            C4, [C4.empty_vset("C_4"), C4.orbit_vset("C_4", "C_2")]),
+    ]
+    assert {classify(W)["aE_unital"] for W in cases} == {True, False}
+    for W in cases:
+        _written_form_reads_back_equal(W)
+        assert sparse_extract(W)[0].form == (
+            "sparse" if classify(W)["aE_unital"] else "generated")
+
+
+def test_systems_over_slices_read_back_equal(C4):
+    for W in enumerate_systems(C4, "aE_unital"):
+        for V in C4.orbit_classes:
+            I = slice_restrict_wis(W, V)
+            again = system_from_obj(system_to_obj(I), validate=True)
+            assert again == I and again.P.key == f"{C4.key}/{V}"
 
 
 def test_predicate_system_not_serializable(C2):
@@ -264,12 +315,15 @@ def test_levels_are_encoded_in_order_of_their_orbits():
 
 
 def test_bad_spec_refused_on_every_load(C2):
-    obj = {**system_to_obj(f_zero(C2)),
-           "presentation": {"backend": "chain", "p": 4, "n": 1}}
     cached = serialize._presentation.cache_info().currsize
-    for _ in range(3):
-        with pytest.raises(SerializationError, match="bad presentation spec"):
-            system_from_obj(obj)
+    for spec in ({"backend": "chain", "p": 4, "n": 1},
+                 {"backend": "slice", "at": "e"},
+                 {"backend": "slice", "parent": C2.spec, "at": "C_4"},
+                 {"backend": "slice", "parent": 5, "at": "e"}):
+        obj = {**system_to_obj(f_zero(C2)), "presentation": spec}
+        for _ in range(3):
+            with pytest.raises(SerializationError, match="bad presentation spec"):
+                system_from_obj(obj)
     assert serialize._presentation.cache_info().currsize == cached
 
 

@@ -11,8 +11,7 @@ from windex import (
     UnsupportedBackend, WeakIndexingSystem, YES, bor_system, chain_group,
     classify, closure_bound, coinduce_wis, cyclic_group, e_system,
     f_complete, f_infinity, f_perp_nu, f_trivial, f_zero, finite_group,
-    indexed_coproduct, is_sparse, join, leq, meet, member,
-    multiplicative_hull, saturate, slice_restrict_wis, sparse_bound,
+    indexed_coproduct, is_sparse, join, leq, meet, multiplicative_hull, saturate, slice_restrict_wis, sparse_bound,
     sparse_decompose, sparse_extract, sparse_generate, sparse_part,
     sparse_universe, validate_wic,
 )
@@ -536,8 +535,9 @@ def test_sparse_extract_flags_non_ae(C2):
     assert fam["unit"] == frozenset()
     flags = classify(W)
     assert not flags["aE_unital"]
-    _, exact = sparse_extract(W)
+    sp, exact = sparse_extract(W)
     assert not exact
+    assert sp is W  # never a system its sparse members generate
 
 
 def test_non_ae_sparse_data_rejected(C2):
@@ -596,6 +596,16 @@ def test_sparse_part_refuses_a_class_of_another_presentation(C2):
         sparse_part(C2, {"C_4": frozenset()})
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_from_sparse_refuses_a_class_of_another_presentation(C2, C4, validate):
+    with pytest.raises(MixedPresentation, match="'C_4' is not an orbit class"):
+        WeakIndexingSystem.from_sparse(
+            C2, {"C_4": [C4.star_vset("C_4")]}, validate=validate)
+    with pytest.raises(MixedPresentation, match="'C_4' is not an orbit class"):
+        WeakIndexingSystem.from_sparse(
+            C2, {"e": [C2.star_vset("e")], "C_4": []}, validate=validate)
+
+
 def test_sparse_decompose_refuses_a_vset_of_another_presentation(C2, C4):
     for S in (C4.star_vset("C_4"), C4.vset("C_4", [("C_4", 3)]),
               C4.orbit_vset("C_4", "e")):
@@ -637,6 +647,16 @@ def test_generated_form_of_a_sparse_system_is_equal(C2):
     assert W == f_zero(C2) and f_zero(C2) == W
     assert hash(W) == hash(f_zero(C2))
     assert len({W, f_zero(C2)}) == 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_no_fixed_bound_tells_point_systems_apart(PT, k):
+    # {n*pt : n = 1 or n >= k} is a system over the point for every k >= 2,
+    # so two predicates that agree up to any bound fixed in advance can
+    # still differ: an unbounded predicate has no finite content to compare
+    pt = PT.star_vset("pt")
+    got = saturate(PT, [pt.scale(n) for n in range(k, 2 * k)], 24)
+    assert sorted(PT.points(S) for S in got["pt"]) == [1, *range(k, 25)]
 
 
 def _odd_multiples(C2):

@@ -37,8 +37,7 @@ def is_family(P, classes):
 
 def enumerate_families(P):
     """All families, ordered by size then lexicographically."""
-    return closed_sets(P.orbit_classes,
-                       lambda V, present: downward_closure(P, [V]))
+    return closed_sets(P.orbit_classes, lambda V, present: P.down_sets[V])
 
 
 # -- transfer systems ----------------------------------------------------------
@@ -56,10 +55,10 @@ class TransferSystem:
         self.pairs = frozenset(full)
         self._strict = self.pairs - {(P.star_key(V), V) for V in P.orbit_classes}
         if check:
-            # each pair set is checked once per presentation (sieve_of reads
-            # the same few off a whole list); a set that fails is not kept
-            passed = P._checked_transfer_pairs
-            if self.pairs in passed:
+            # each pair set is checked once per presentation, and the first
+            # R to pass is the one `transfer_of` hands out; a set that fails
+            # is not kept
+            if self.pairs in P._transfer_systems:
                 return
             for u, V in self.pairs:
                 if V not in P._slices or u not in P.slice_keys(V):
@@ -67,7 +66,7 @@ class TransferSystem:
             missing = closure(_transfer_rule(P), (), self.strict()) - self.pairs
             if missing:
                 raise ValueError(f"transfer system is not closed: missing {min(missing)}")
-            passed.add(self.pairs)
+            P._transfer_systems[self.pairs] = self
 
     def strict(self):
         """The admissible orbits other than the identities."""
@@ -155,18 +154,26 @@ def transfer_closure(P, pairs):
 
 def enumerate_transfer_systems(P):
     """All transfer systems, smallest first: the closed sets of composition
-    and base change on the non-identity orbits."""
-    strict = [(u, V) for V in P.orbit_classes
-              for u in P.slice_keys(V) if u != P.star_key(V)]
-    return [TransferSystem(P, C, check=False)
-            for C in closed_sets(strict, _transfer_rule(P))]
+    and base change on the non-identity orbits.  They are listed once per
+    presentation, as its one transfer system per pair set; each call returns
+    a new list of those."""
+    if not P._transfers_listed:
+        strict = [(u, V) for V in P.orbit_classes
+                  for u in P.slice_keys(V) if u != P.star_key(V)]
+        checked = P._transfer_systems
+        listed = (TransferSystem(P, C, check=False)
+                  for C in closed_sets(strict, _transfer_rule(P)))
+        P._transfer_systems = {R.pairs: checked.get(R.pairs, R) for R in listed}
+        P._transfers_listed = True
+    return list(P._transfer_systems.values())
 
 
 # -- between systems and transfer data -------------------------------------
 
 
 def transfer_of(W):
-    """The transfer system of admissible orbits of a unital system."""
+    """The transfer system of admissible orbits of a unital system: the one
+    P holds for that pair set."""
     P = W.P
     if not classify(W)["unital"]:
         raise NotUnital("only unital systems induce transfer systems")
@@ -174,13 +181,15 @@ def transfer_of(W):
     for V in P.orbit_classes:
         for u in P.slice_keys(V):
             if u == P.star_key(V):
+                pairs.add((u, V))
                 continue
             r = W.member(P.orbit_vset(V, u))
             if r == YES:
                 pairs.add((u, V))
             elif r != NO:
                 raise ValueError(f"membership of [{u}] over {V} is undecided")
-    return TransferSystem(P, pairs)
+    # P's transfer system with these pairs, checked when first met
+    return P._transfer_systems.get(frozenset(pairs)) or TransferSystem(P, pairs)
 
 
 def transfer_to_indexing(R):

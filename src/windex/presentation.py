@@ -166,9 +166,10 @@ def sub_multisets(S):
 class OrbitalPresentation:
     """A presentation (see the module docstring).  What is derived from it
     lives on it, as long as it does: the intern table (`vset`), each class's
-    sparse V-sets (`sparse_universes`, `sparse_sets`, `sparse_vset`,
-    `sparse_bound`), the slice maps and slices asked for, the transfer
-    systems checked (`fibrations.TransferSystem`) and the levels named
+    down-set (`down_sets`) and sparse V-sets (`sparse_universes`,
+    `sparse_sets`, `sparse_vset`, `sparse_bound`), the slice maps and slices
+    asked for, one transfer system per pair set
+    (`fibrations.TransferSystem`) and the levels named
     (`enumeration._member_names`)."""
 
     def __init__(self, key, spec, orbit_classes, slices, star, cls_of, points,
@@ -196,7 +197,10 @@ class OrbitalPresentation:
         self.conjugator = dict(conjugator) if conjugator else None
         self._slice_hom_cache = {}
         self._slice_pres_cache = {}
-        self._checked_transfer_pairs = set()    # see fibrations.TransferSystem
+        # one checked transfer system per pair set, and whether all are
+        # listed (see fibrations.TransferSystem)
+        self._transfer_systems = {}
+        self._transfers_listed = False
         self._level_names = {}                  # see enumeration._member_names
         # The intern table: per class, each canonical orbits tuple handed out
         # and its one V-set.  The empty set, the point, the double point and
@@ -230,7 +234,13 @@ class OrbitalPresentation:
 
     def hom_exists(self, U, V):
         """Does some map U -> V exist?  (U occurs as a slice orbit over V.)"""
-        return any(self._cls[(V, k)] == U for k in self._slices[V])
+        return U in self.down_sets[V]
+
+    @functools.cached_property
+    def down_sets(self):
+        """Each class V's down-set: the classes with a map to V."""
+        return {V: frozenset(self._cls[(V, k)] for k in self._slices[V])
+                for V in self.orbit_classes}
 
     # -- V-set constructors -----------------------------------------------
 
@@ -514,10 +524,15 @@ def validate_presentation(P):
     checks = {}
 
     def run(name, gen):
-        for witness in gen:
-            checks[name] = (False, witness)
-            return
-        checks[name] = (True, None)
+        # a check that looks up an entry the tables lack fails, the missing
+        # entry its witness
+        try:
+            witness = next(gen, None)
+        except (NoSuchMap, InvalidSpec) as err:
+            witness = err.args[0]
+        except KeyError as err:
+            witness = f"no table entry {err.args[0]!r}"
+        checks[name] = (witness is None, witness)
 
     def identity_restriction():
         for V in P.orbit_classes:

@@ -102,18 +102,13 @@ def enumerate_sieves(R, family):
 def sieve_of(W):
     """The sieve recording which admissible orbits of a unital system W keep
     a disjoint fixed point above the fold family."""
-    P = W.P
-    require_chain(P, _CHAINS_ONLY)
+    require_chain(W.P, _CHAINS_ONLY)
     R = transfer_of(W)    # raises NotUnital unless W is unital
     scope = transfer_codomain(R) - W.families()["fold"]
-    pairs = set()
-    for K, H in R.strict():
-        if H not in scope:
-            continue
-        probe = P.vset(H, [(P.star_key(H), 1), (K, 1)])
-        if W.member(probe) == YES:
-            pairs.add((K, H))
-    return Sieve(R, frozenset(scope), frozenset(pairs))
+    plus = R._chain_parts[2]    # star+[K] over H, per admissible (K, H)
+    pairs = frozenset(pair for pair, probe in plus.items()
+                      if pair[1] in scope and W.member(probe) == YES)
+    return Sieve(R, frozenset(scope), pairs)
 
 
 def fiber_from_sieve(R, family, sieve):

@@ -88,8 +88,8 @@ def sparse_bound(P):
 
 
 def downward_closure(P, classes):
-    return frozenset(U for U in P.orbit_classes
-                     if any(P.hom_exists(U, V) for V in classes))
+    """The classes with a map to one of the given classes."""
+    return frozenset().union(*(P.down_sets[V] for V in classes))
 
 
 # -- saturation -------------------------------------------------------------
@@ -393,7 +393,7 @@ def families_of_levels(P, levels):
         "unit": having(P.empty_vset),
         "fold": having(P.double_vset),
         "eps": downward_closure(P, [V for V, mem in levels.items()
-                                    if any(S != P.star_vset(V) for S in mem)]),
+                                    if len(mem) > (P.star_vset(V) in mem)]),
     }
 
 

@@ -10,25 +10,28 @@ a rule of `poset.closure`, which shares the package's coproduct enumeration
 kept here once a faster one replaced them: `saturated_minimal_unital`, `scanned_label`,
 `pairwise_system_poset`, `per_sieve_fiber_systems`, `antichain_is_sparse`,
 `combination_sparse_universe`, `merged_sparse_decomposition`,
-`walked_closed_sets` and `member_named_order`.
+`walked_closed_sets`, `member_named_order`, `probed_transfer_of`,
+`probed_sieve_of` and `scanned_downward_closure`.
 """
 import functools
 import itertools
 from collections import deque
 
 from windex.fibrations import (
-    TransferSystem, enumerate_families, enumerate_transfer_systems, fold_left,
-    is_family, transfer_codomain, transfer_to_indexing,
+    NotUnital, TransferSystem, enumerate_families, enumerate_transfer_systems,
+    fold_left, is_family, transfer_codomain, transfer_to_indexing,
 )
-from windex.sieves import NotAdmissible, enumerate_sieves
+from windex.sieves import NotAdmissible, Sieve, enumerate_sieves
 from windex.enumeration import (
     _exact_levels, _in_output_order, content_hash, enumerate_systems,
 )
 from windex.poset import Poset, closure
-from windex.presentation import indexed_coproduct, meet_semilattice
+from windex.presentation import (
+    indexed_coproduct, meet_semilattice, require_chain,
+)
 from windex.systems import (
-    NotClosed, SparseDecomposition, WeakIndexingSystem,
-    _check_same_presentation, _coproducts, downward_closure, f_complete,
+    NO, YES, NotClosed, SparseDecomposition, WeakIndexingSystem,
+    _check_same_presentation, _coproducts, classify, f_complete,
     f_infinity, f_trivial, f_zero, is_sparse, join, sparse_closure,
     sparse_member, sparse_universe,
 )
@@ -352,6 +355,12 @@ def a4_table():
     return permutation_table([(1, 2, 0, 3), (1, 0, 3, 2)])
 
 
+def d8_table():
+    """The dihedral group of order 8: the symmetries of a square, a quarter
+    turn and a reflection of its four corners."""
+    return permutation_table([(1, 2, 3, 0), (0, 3, 2, 1)])
+
+
 def a5_table():
     """The alternating group A_5: a 5-cycle and a 3-cycle."""
     return permutation_table([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
@@ -537,8 +546,52 @@ def recomputed_transfer_domain(R):
 def recomputed_transfer_codomain(R):
     """The family generated by the targets of R's non-identity pairs."""
     P = R.P
-    return downward_closure(
+    return scanned_downward_closure(
         P, {V for u, V in R.pairs if u != P.star_key(V)})
+
+
+def scanned_downward_closure(P, classes):
+    """The classes with a map to one of the given classes, by scanning the
+    slice orbits over each of them."""
+    return frozenset(U for U in P.orbit_classes
+                     if any(P.slice_cls(V, k) == U
+                            for V in classes for k in P.slice_keys(V)))
+
+
+def probed_transfer_of(W):
+    """The transfer system of a unital W, built anew from W's membership of
+    each non-identity orbit [V/u] and checked."""
+    P = W.P
+    if not classify(W)["unital"]:
+        raise NotUnital("only unital systems induce transfer systems")
+    pairs = set()
+    for V in P.orbit_classes:
+        for u in P.slice_keys(V):
+            if u == P.star_key(V):
+                continue
+            r = W.member(P.orbit_vset(V, u))
+            if r == YES:
+                pairs.add((u, V))
+            elif r != NO:
+                raise ValueError(f"membership of [{u}] over {V} is undecided")
+    return TransferSystem(P, pairs)
+
+
+def probed_sieve_of(W):
+    """The sieve of a unital chain system W: the admissible (K, H) into the
+    scope whose star+[K] over H, made anew, W holds."""
+    P = W.P
+    require_chain(P, "sieves are only defined")
+    R = probed_transfer_of(W)
+    scope = recomputed_transfer_codomain(R) - W.families()["fold"]
+    pairs = set()
+    for K, H in R.strict():
+        if H not in scope:
+            continue
+        probe = P.vset(H, [(P.star_key(H), 1), (K, 1)])
+        if W.member(probe) == YES:
+            pairs.add((K, H))
+    return Sieve(R, frozenset(scope), frozenset(pairs))
 
 
 def per_sieve_fiber(R, family, sieve):

@@ -18,7 +18,7 @@ from windex.poset import closure
 
 from helpers import (
     a4_table, c6_table, diamond_semilattice, extensional_fold_right,
-    klein_table, q8_table, recomputed_transfer_codomain,
+    klein_table, probed_transfer_of, q8_table, recomputed_transfer_codomain,
     recomputed_transfer_domain, s3_table, saturated_minimal_unital,
     scanned_families, scanned_transfer_systems,
 )
@@ -173,6 +173,41 @@ def test_transfer_check_runs_once_per_pair_set_and_presentation(monkeypatch):
     assert len(calls) == 3
 
 
+def test_transfer_systems_are_listed_once_per_presentation():
+    P = chain_group(2, 3)
+    first = enumerate_transfer_systems(P)
+    second = enumerate_transfer_systems(P)
+    assert second is not first and len(second) == len(first) == 14
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()     # the caller's list, not the presentation's
+    assert enumerate_transfer_systems(P) == second
+
+
+def test_transfer_of_hands_out_the_listed_transfer_system():
+    P = chain_group(2, 3)
+    unital = enumerate_systems(P, "unital")
+    # met before the listing, and the listing keeps it
+    early = transfer_of(unital[-1])
+    listed = enumerate_transfer_systems(P)
+    assert sum(R is early for R in listed) == 1
+    for W in unital:
+        R = transfer_of(W)
+        assert sum(L is R for L in listed) == 1
+        assert transfer_of(W) is R
+
+
+def test_a_pair_set_that_is_not_closed_is_never_kept():
+    P = chain_group(2, 2)
+    closed = {R.pairs for R in scanned_transfer_systems(P)}
+    for listed in (False, True, True):
+        if listed:
+            enumerate_transfer_systems(P)
+        with pytest.raises(ValueError, match="not closed"):
+            TransferSystem(P, [("e", "C_4")])
+        assert set(P._transfer_systems) <= closed
+        assert all(R.pairs == pairs for pairs, R in P._transfer_systems.items())
+
+
 def test_transfer_of_named_systems(C4):
     R0, R1, R2, R3, R4 = _five_transfers(C4)
     assert transfer_of(f_zero(C4)) == R0
@@ -221,6 +256,16 @@ def test_saturated_minimal_unital_is_left_adjoint_off_chains(name):
         assert M == saturated_minimal_unital(R)
         for W, fR in zip(unital, images):
             assert (leq(M, W) == YES) == (R <= fR)
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "diamond"])
+def test_transfer_of_equals_its_probing_oracle_off_chains(name):
+    P = PRESENTATIONS[name]()
+    listed = enumerate_transfer_systems(P)
+    for W in enumerate_systems(P, "unital"):
+        R = transfer_of(W)
+        assert R == probed_transfer_of(W)
+        assert sum(L is R for L in listed) == 1
 
 
 def test_adjoint_units_are_identities(C4):

@@ -9,10 +9,11 @@ from windex.presentation import (
     indexed_coproduct, meet_semilattice, one_object_groupoid, sub_multisets,
     trivial_point, validate_presentation,
 )
+from windex.systems import downward_closure
 
 from helpers import (
-    a4_table, a5_table, c6_table, chain_restrict_oracle, klein_table, q8_table,
-    s3_table,
+    a4_table, a5_table, c6_table, chain_restrict_oracle, d8_table,
+    klein_table, q8_table, s3_table, scanned_downward_closure, subsets,
 )
 
 
@@ -34,7 +35,7 @@ def diamond_lattice():
     trivial_point(), one_object_groupoid(4),
     finite_group(klein_table(), name="C2xC2"),
     finite_group(c6_table(), name="C6"), finite_group(q8_table(), name="Q8"),
-    finite_group(a4_table(), name="A4"),
+    finite_group(a4_table(), name="A4"), finite_group(d8_table(), name="D8"),
 ])
 def test_backends_validate(P):
     report = validate_presentation(P)
@@ -59,11 +60,12 @@ def test_s3_presentation_validates():
     lambda: finite_group(klein_table(), name="C2xC2"),
     lambda: finite_group(q8_table(), name="Q8"),
     lambda: finite_group(a4_table(), name="A4"),
+    lambda: finite_group(d8_table(), name="D8"),
     pytest.param(lambda: finite_group(a5_table(), name="A5"),
                  marks=pytest.mark.slow),
     lambda: chain_group(2, 3), lambda: chain_group(3, 2),
     lambda: cyclic_group(2, 3), lambda: cyclic_group(3, 2),
-], ids=["S3", "C6", "C2xC2", "Q8", "A4", "A5", "chain-C8", "chain-C9",
+], ids=["S3", "C6", "C2xC2", "Q8", "A4", "D8", "A5", "chain-C8", "chain-C9",
         "cyclic-C8", "cyclic-C9"])
 def test_subgroup_key_is_the_key_of_the_conjugacy_class(make):
     # the oracle: the one slice key over V = [G/H] whose representative is
@@ -217,12 +219,12 @@ def test_slice_specs_build_the_slice(make):
 def _corrupted(P, table, key, value):
     """A copy of P with one entry of one of its tables changed."""
     tables = {"restriction": dict(P._res), "induction": dict(P._ind),
-              "points": dict(P._points)}
+              "points": dict(P._points), "cls_of": dict(P._cls)}
     assert key in tables[table]
     tables[table][key] = value
     return OrbitalPresentation(
         key=P.key, spec=P.spec, orbit_classes=P.orbit_classes,
-        slices=P._slices, star=P._star, cls_of=P._cls, **tables)
+        slices=P._slices, star=P._star, **tables)
 
 
 # each axiom of validate_presentation, and one C_4 table entry that breaks it
@@ -258,6 +260,31 @@ def test_a_corrupted_table_fails_its_axiom(axiom):
     assert len(lines) == len(report.checks)
     assert sum(line.startswith("PASS ") for line in lines) == \
         len(report.checks) - len(report.failures)
+
+
+# a C_4 table entry changed so that some check looks up an entry the tables
+# lack: a check, and the missing entry it reports
+MISSING_ENTRIES = [
+    ("induction", ("C_4", "C_2", "C_2"), "e", "induction-associativity",
+     "no induction entry ('C_4', 'e', 'C_2')"),
+    ("cls_of", ("C_4", "e"), "C_2", "induction-unit",
+     "no induction entry ('C_4', 'e', 'C_2')"),
+    ("cls_of", ("C_4", "e"), "X", "terminal-to-terminal",
+     "no table entry 'X'"),
+]
+
+
+@pytest.mark.parametrize("table,key,value,check,missing", MISSING_ENTRIES,
+                         ids=["induction-to-e", "cls-to-C_2", "cls-to-unknown"])
+def test_a_missing_table_entry_fails_the_check_that_meets_it(
+        table, key, value, check, missing):
+    report = validate_presentation(_corrupted(chain_group(2, 2), table, key, value))
+    assert not report.ok
+    assert report.checks[check] == (False, missing)
+    assert set(report.checks) == set(CORRUPTIONS)
+    lines = str(report).splitlines()
+    assert len(lines) == len(report.checks)
+    assert f"FAIL {check}: {missing}" in lines
 
 
 def test_hom_exists_is_occurrence_as_slice():
@@ -421,3 +448,32 @@ def test_vset_scale_refuses_factors_that_are_not_integers():
         point.scale(-1)
     assert point.scale(0) == P.empty_vset("e")
     assert point.scale(3) == P.vset("e", [("e", 3)])
+
+
+TABLES = {
+    "C4": lambda: chain_group(2, 2), "C9": lambda: chain_group(3, 2),
+    "C8": lambda: chain_group(2, 3), "C8-table": lambda: cyclic_group(2, 3),
+    "S3": lambda: finite_group(s3_table(), name="S3"),
+    "C6": lambda: finite_group(c6_table(), name="C6"),
+    "C2xC2": lambda: finite_group(klein_table(), name="C2xC2"),
+    "Q8": lambda: finite_group(q8_table(), name="Q8"),
+    "A4": lambda: finite_group(a4_table(), name="A4"),
+    "D8": lambda: finite_group(d8_table(), name="D8"),
+    "diamond": diamond_lattice, "point": trivial_point,
+    "BG2": lambda: one_object_groupoid(2),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_down_sets_equal_the_slice_scan(name):
+    # on the table and on each of its slices: each class's down-set, every
+    # downward closure, and hom_exists
+    P = TABLES[name]()
+    for Q in [P] + [P.slice_presentation(V) for V in P.orbit_classes]:
+        for V in Q.orbit_classes:
+            assert Q.down_sets[V] == scanned_downward_closure(Q, [V])
+            for U in Q.orbit_classes:
+                assert Q.hom_exists(U, V) == (U in Q.down_sets[V])
+        for classes in subsets(Q.orbit_classes):
+            assert downward_closure(Q, classes) == \
+                scanned_downward_closure(Q, classes), classes

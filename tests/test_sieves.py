@@ -12,11 +12,11 @@ from windex import (
     fiber_systems, finite_group, is_sieve, leq, minimal_unital, sieve_of, transfer_closure, transfer_codomain, transfer_domain,
     transfer_of, transport_sieve,
 )
-from windex.enumeration import enumerate_systems
+from windex.enumeration import enumerate_systems, enumerate_systems_fiberwise
 
 from helpers import (
-    per_sieve_fiber, per_sieve_fiber_systems, s3_table, scanned_sieves,
-    sieve_conditions, subsets,
+    per_sieve_fiber, per_sieve_fiber_systems, probed_sieve_of,
+    probed_transfer_of, s3_table, scanned_sieves, sieve_conditions, subsets,
 )
 
 
@@ -215,6 +215,19 @@ def test_sieve_of_round_trips(C4):
             got = sieve_of(W)
             assert got.pairs == s.pairs
             assert got.scope == transfer_codomain(R) - fam
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (2, 5)],
+                         ids=["C4", "C9", "C8", "C16", "C25", "C32"])
+def test_transfer_of_and_sieve_of_equal_their_probing_oracles(p, n):
+    # on systems with empty membership caches, probed by the oracles second
+    P = chain_group(p, n)
+    listed = enumerate_transfer_systems(P)
+    for W in enumerate_systems_fiberwise(P, "unital"):
+        R, s = transfer_of(W), sieve_of(W)
+        assert R is s.R and sum(L is R for L in listed) == 1
+        assert R == probed_transfer_of(W)
+        assert s == probed_sieve_of(W)
 
 
 def test_every_unital_system_rebuilds_from_its_sieve(C4):

@@ -14,8 +14,8 @@ import functools
 from .poset import closed_sets, closure
 from .presentation import is_chain
 from .systems import (
-    NO, YES, WeakIndexingSystem, classify, downward_closure, f_complete,
-    f_trivial, f_zero, join, sparse_closure, sparse_universe,
+    NO, YES, MixedPresentation, WeakIndexingSystem, classify, downward_closure,
+    f_complete, f_trivial, f_zero, join, sparse_closure, sparse_universe,
 )
 
 
@@ -43,6 +43,12 @@ def enumerate_families(P):
 # -- transfer systems ----------------------------------------------------------
 
 
+def _check_orbits(P, pairs):
+    for u, V in pairs:
+        if V not in P._slices or u not in P.slice_keys(V):
+            raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
+
+
 class TransferSystem:
     """A set of admissible orbits (u, V), containing all identities and
     closed under composition and base change."""
@@ -60,9 +66,7 @@ class TransferSystem:
             # is not kept
             if self.pairs in P._transfer_systems:
                 return
-            for u, V in self.pairs:
-                if V not in P._slices or u not in P.slice_keys(V):
-                    raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
+            _check_orbits(P, self.pairs)
             missing = closure(_transfer_rule(P), (), self.strict()) - self.pairs
             if missing:
                 raise ValueError(f"transfer system is not closed: missing {min(missing)}")
@@ -112,6 +116,11 @@ class TransferSystem:
         return pair in self.pairs
 
     def __le__(self, other):
+        if not isinstance(other, TransferSystem):
+            return NotImplemented
+        if self.P.key != other.P.key:
+            raise MixedPresentation(
+                f"transfer systems over {self.P.key} and {other.P.key} cannot be compared")
         return self.pairs <= other.pairs
 
     def __eq__(self, other):
@@ -147,6 +156,8 @@ def _transfer_rule(P):
 
 def transfer_closure(P, pairs):
     """The smallest transfer system containing the given pairs."""
+    pairs = list(pairs)
+    _check_orbits(P, pairs)
     strict = [(u, V) for u, V in pairs if u != P.star_key(V)]
     return TransferSystem(P, closure(_transfer_rule(P), (), strict),
                           check=False)

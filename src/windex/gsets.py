@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from .poset import closure
 from .presentation import (
     MismatchedIndex, TooLarge, UnsupportedBackend, VSet, align_components)
 
@@ -56,23 +57,13 @@ class ConcreteGSet:
                     raise ValueError(f"action is not compatible with {h1}*{h2}")
 
     def orbits(self):
-        seen = [False] * self.n
-        out = []
+        """The orbits, by least point, each one sorted."""
+        perms, out, seen = self.action.values(), [], set()
         for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for perm in self.action.values():
-                    z = perm[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            for y in orbit:
-                seen[y] = True
-            out.append(sorted(orbit))
+            if x not in seen:
+                orbit = closure(lambda y, present: [perm[y] for perm in perms], (), [x])
+                seen |= orbit
+                out.append(sorted(orbit))
         return out
 
     def stabilizer(self, x):

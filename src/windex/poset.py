@@ -6,9 +6,8 @@ import heapq
 import itertools
 import operator
 
-# a mask's binary digits as bytes 0 and 1, and back
+# a mask's binary digits as bytes 0 and 1
 _TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def closure(rule, closed=(), new=()):
@@ -95,26 +94,25 @@ class Poset:
             raise ValueError("one label per element")
         if any(not up[i] >> i & 1 for i in range(n)):
             raise ValueError("order is not reflexive")
+        # row by row: the strict up-sets above i lie in up[i] (transitive) and
+        # miss i (antisymmetric); what they miss of i's strict up-set covers i
         strict = [mask ^ 1 << i for i, mask in enumerate(up)]
-        # an n x n table of bytes: row i, table[i * n:(i + 1) * n], holds 1
-        # at each element strictly above i, and column j is table[j::n]
-        table = bytearray(n * n)
-        for i, mask in enumerate(strict):
-            table[i * n:(i + 1) * n] = \
-                format(mask, f"0{n}b")[::-1].encode().translate(_TO_BYTES)
-        down = [int(table[j::n][::-1].translate(_TO_DIGITS), 2) | 1 << j
-                for j in range(n)]
-        if any(up[i] & down[i] != 1 << i for i in range(n)):
-            raise ValueError("order is not antisymmetric")
-        # transitive: the strict up-sets of the elements above i lie in
-        # up[i]; what they miss of i's strict up-set is what i is covered by
         self._cover_masks = []
-        for i in range(n):
-            reach = functools.reduce(operator.or_, itertools.compress(
-                strict, table[i * n:(i + 1) * n]), 0)
+        for i, mask in enumerate(strict):
+            row = format(mask, f"0{n}b")[::-1].encode().translate(_TO_BYTES)
+            reach = functools.reduce(operator.or_, itertools.compress(strict, row), 0)
+            if reach >> i & 1:
+                raise ValueError("order is not antisymmetric")
             if reach & ~up[i]:
                 raise ValueError("order is not transitive")
-            self._cover_masks.append(strict[i] & ~reach)
+            self._cover_masks.append(mask & ~reach)
+        del strict      # before the down-sets, which take as much room
+        # an element strictly below another has the larger up-set: larger
+        # up-sets first, each down-set is whole before it goes to its covers
+        down = [1 << j for j in range(n)]
+        for i in sorted(range(n), key=lambda i: up[i].bit_count(), reverse=True):
+            for j in _bits(self._cover_masks[i]):
+                down[j] |= down[i]
         self._up, self._down = up, down
 
     def __len__(self):

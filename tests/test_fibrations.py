@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from windex import (
-    NO, NotUnital, TargetNotAbove, TransferSystem, WeakIndexingSystem,
+    NO, MixedPresentation, NotUnital, TargetNotAbove, TransferSystem, WeakIndexingSystem,
     YES, chain_group, classify, cocartesian_transport, cyclic_group,
     enumerate_families, enumerate_systems_fiberwise,
     enumerate_transfer_systems, f_complete, f_infinity, f_trivial, f_zero,
@@ -141,6 +141,28 @@ def test_unclosed_transfer_rejected(C4):
         TransferSystem(C4, [("x", "C_4")])
     with pytest.raises(ValueError, match="not an orbit"):
         TransferSystem(C4, [("e", "C_99")])
+
+
+@pytest.mark.parametrize("pairs", [[("x", "C_4")], [("e", "C_99")]],
+                         ids=["key", "class"])
+def test_transfer_closure_refuses_a_pair_that_is_not_an_orbit(C4, pairs):
+    u, V = pairs[0]
+    with pytest.raises(ValueError,
+                       match=rf"\({u!r}, {V!r}\) is not an orbit of chain:p=2,n=2"):
+        transfer_closure(C4, pairs)
+
+
+def test_transfer_systems_over_two_presentations_are_not_compared():
+    # C_4 as a chain and from its table: the same pairs, unequal systems
+    R = enumerate_transfer_systems(chain_group(2, 2))[-1]
+    S = enumerate_transfer_systems(cyclic_group(2, 2))[-1]
+    assert R.pairs == S.pairs and R != S
+    for a, b in ((R, S), (S, R)):
+        with pytest.raises(MixedPresentation, match="cannot be compared"):
+            a <= b
+    assert R <= R and S <= S
+    with pytest.raises(TypeError):
+        R <= 5
 
 
 def test_transfer_check_runs_once_per_pair_set_and_presentation(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from windex.groups import GroupTable
@@ -33,6 +35,24 @@ def test_concretize_decompose_round_trip(name, P):
             assert orbit_decompose(P, X, V) == S
         S = P.vset(V, [(u, 2) for u in P.slice_keys(V)])
         assert orbit_decompose(P, concretize(P, S), V) == S
+
+
+@pytest.mark.parametrize("name,P", _presentations())
+def test_orbits_are_listed_by_least_point_each_sorted(name, P):
+    # the points of two copies of every orbit, relabelled so that orbits
+    # interleave; a group moves a point onto its whole orbit in one step
+    rng = random.Random(name)
+    for V in P.orbit_classes:
+        X = concretize(P, P.vset(V, [(u, 2) for u in P.slice_keys(V)]))
+        new = rng.sample(range(X.n), X.n)
+        action = {}
+        for h, perm in X.action.items():
+            action[h] = [None] * X.n
+            for x in range(X.n):
+                action[h][new[x]] = new[perm[x]]
+        Y = ConcreteGSet(X.group, X.subgroup, X.n, action)
+        orbits = {frozenset(perm[x] for perm in action.values()) for x in range(X.n)}
+        assert Y.orbits() == sorted(sorted(orbit) for orbit in orbits)
 
 
 @pytest.mark.parametrize("name,P", _presentations())

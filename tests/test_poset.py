@@ -348,6 +348,44 @@ def test_order_checks_match_matrix_oracle():
     assert 0 < refused < 300
 
 
+def _layered_order(rng, n):
+    """The transitive closure of a random DAG on range(n): each element lies
+    on one of a few ranks and points at some elements of higher ranks, so
+    many incomparable elements share an up-set size.  Element 0 may be put
+    below, and element n - 1 above, all the others."""
+    rank = [rng.randrange(rng.randint(2, 6)) for _ in range(n)]
+    rank[0], rank[-1] = rng.choice([rank[0], -1]), rng.choice([rank[-1], 6])
+    p = rng.uniform(0.05, 0.4)
+    above = [{b for b in range(n) if rank[b] > rank[a]
+              and (rank[a] < 0 or rank[b] > 5 or rng.random() < p)}
+             for a in range(n)]
+    for a in sorted(range(n), key=rank.__getitem__, reverse=True):
+        for b in list(above[a]):
+            above[a] |= above[b]
+    return lambda a, b: a == b or b in above[a]
+
+
+def test_down_sets_and_covers_match_matrix_oracle_on_larger_orders():
+    rng = random.Random(70)
+    ties = bottoms = tops = 0
+    for n in range(20, 71, 5):
+        order = _layered_order(rng, n)
+        elements = rng.sample(range(n), n)
+        up = [sum(1 << k for k, b in enumerate(elements) if order(a, b))
+              for a in elements]
+        oracle = MatrixPoset(elements, order)
+        size = range(n)
+        ties += n - len({mask.bit_count() for mask in up})
+        for po in (Poset(elements, order), Poset.from_up_sets(elements, up)):
+            assert all((po._down[j] >> i & 1) == oracle.leq(i, j)
+                       for i in size for j in size)
+            assert po.covers() == oracle.covers()
+            assert (po.bottom(), po.top()) == (oracle.bottom(), oracle.top())
+        bottoms += oracle.bottom() is not None
+        tops += oracle.top() is not None
+    assert ties > 250 and bottoms and tops
+
+
 def _unital_systems(name):
     if name == "S3":
         return enumerate_systems(finite_group(s3_table(), name="S3"), "unital")

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from windex import (
-    NotAdmissible, NotClosed, NotUnital, Sieve, TransferSystem,
+    MixedPresentation, NotAdmissible, NotClosed, NotUnital, Sieve, TransferSystem,
     UnsupportedBackend, WeakIndexingSystem, YES, chain_group,
     cocartesian_transport, cyclic_group, enumerate_families, enumerate_sieves,
     enumerate_transfer_systems, f_infinity, f_trivial, fiber_from_sieve,
@@ -258,6 +258,14 @@ def test_transport_sieve_needs_larger_transfer(C4):
     s = enumerate_sieves(R4, ["e", "C_2"])[-1]
     with pytest.raises(NotAdmissible):
         transport_sieve(s, R1, ["e"])
+
+
+def test_transport_sieve_stays_on_its_presentation(C4):
+    # the full transfer system of C_4 from its table holds the same pairs
+    s = enumerate_sieves(enumerate_transfer_systems(C4)[-1], ["e", "C_2"])[-1]
+    S = enumerate_transfer_systems(cyclic_group(2, 2))[-1]
+    with pytest.raises(MixedPresentation):
+        transport_sieve(s, S, ["e"])
 
 
 def test_sieves_need_a_chain():

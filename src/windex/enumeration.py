@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import operator
 
 from .poset import Poset
@@ -117,21 +116,21 @@ def _indexing_systems(P):
 
 
 def _from_unital(P, unital, which):
-    """The systems of the class `which` built from the list of every unital
-    system, deduplicated and sorted: each unital W truncated to a family F
-    plus the point on a family C containing F (W's levels on F, the point
-    alone on C - F, nothing elsewhere), with C = every class for
-    almost-unital.
+    """The systems of the class `which`, built from the list of every unital
+    system and sorted.  For each unital W and each pair of families F <= C
+    (C = every class for almost-unital) such that F holds every class where
+    W's level is more than the empty set and the point, X is W's levels on
+    F, the point alone on C - F, and nothing elsewhere.
 
-    Such a system is closed (members on F restrict and combine inside F as
-    in W, and the point restricts to the point), and its unit and eps
-    families are F and its color family C: it is aE-unital.  Conversely an
-    aE-unital X holds the empty set and the point on its unit family F,
-    which is its eps family, at most the point elsewhere, and the point on
-    its color family C.  Its levels on F with the empty set and the point
-    elsewhere form a unital W, since any other restriction or coproduct is
-    the empty set, the point, or one inside F; and X is W truncated to F
-    plus the point on C - F.
+    Such an X is closed (members on F restrict and combine inside F as in W,
+    and the point restricts to the point), and its unit and eps families are
+    F and its color family C: it is aE-unital.  Conversely an aE-unital X
+    holds the empty set and the point on its unit family F, which is its eps
+    family, at most the point elsewhere, and the point on its color family
+    C.  Its levels on F with the empty set and the point elsewhere form a
+    unital W, since any other restriction or coproduct is the empty set, the
+    point, or one inside F; and X is built from W, F and C.  So X and
+    (W, F, C) determine each other: each aE-unital system is built once.
 
     The unital list is only sorted: it holds no duplicates, since the brute
     walk visits each level assignment once and the fiberwise one each
@@ -139,17 +138,20 @@ def _from_unital(P, unital, which):
     the fold family and `sieve_of` read back off the system."""
     if which == "unital":
         return _in_output_order(unital)
-    everything = frozenset(P.orbit_classes)
     families = enumerate_families(P)
-    tops = families if which == "aE_unital" else [everything]
+    tops = families if which == "aE_unital" else [frozenset(P.orbit_classes)]
     pairs = [(F, C) for C in tops for F in families if F <= C]
-    out = {}
-    for W, (F, C) in itertools.product(unital, pairs):
-        levels = {V: W.sparse_levels[V] if V in F else frozenset(
-            [P.star_vset(V)] if V in C else []) for V in P.orbit_classes}
-        out.setdefault(frozenset(levels.items()), levels)
-    return _in_output_order(WeakIndexingSystem.from_sparse(P, lv, validate=False)
-                            for lv in out.values())
+    point = {V: frozenset([P.star_vset(V)]) for V in P.orbit_classes}
+    out = []
+    for W in unital:
+        extra = {V for V, level in W.sparse_levels.items() if len(level) > 2}
+        for F, C in pairs:
+            if extra <= F:
+                out.append(WeakIndexingSystem.from_sparse(P, {
+                    V: W.sparse_levels[V] if V in F else
+                    point[V] if V in C else frozenset()
+                    for V in P.orbit_classes}, validate=False))
+    return _in_output_order(out)
 
 
 def enumerate_systems(P, which="aE_unital"):

@@ -133,7 +133,7 @@ class TransferSystem:
 
     def __repr__(self):
         strict = sorted(self.strict())
-        return f"<TransferSystem {strict}>"
+        return f"<TransferSystem {self.P.key} {strict}>"
 
 
 def _transfer_rule(P):

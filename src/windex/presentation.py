@@ -463,24 +463,20 @@ class OrbitalPresentation:
 
 
 def align_components(S, T):
-    """The orbits of S listed with multiplicity, and the component T assigns
-    to each: T is either a mapping keyed by slice-orbit key (shared by
-    repeated orbits) or a sequence aligned with ``S.expand()``."""
+    """The orbits of S listed with multiplicity, and their components: T is
+    a list or tuple aligned with ``S.expand()`` (else MismatchedIndex)."""
     keys = S.expand()
-    if isinstance(T, dict):
-        try:
-            return keys, [T[k] for k in keys]
-        except KeyError as err:
-            raise MismatchedIndex(f"no component for orbit {err.args[0]!r}") from None
-    comps = list(T)
-    if len(comps) != len(keys):
-        raise MismatchedIndex(f"{len(comps)} components for {len(keys)} orbits")
-    return keys, comps
+    if not isinstance(T, (list, tuple)):
+        raise MismatchedIndex(f"components must be a list or tuple, not "
+                              f"{type(T).__name__}")
+    if len(T) != len(keys):
+        raise MismatchedIndex(f"{len(T)} components for {len(keys)} orbits")
+    return keys, T
 
 
 def indexed_coproduct(P, S, T):
-    """The S-indexed coproduct of the tuple T, which assigns to each orbit of
-    S a V-set over its underlying class (see `align_components`)."""
+    """The S-indexed coproduct of T, a list or tuple holding one V-set over
+    each orbit's underlying class, aligned with ``S.expand()``."""
     keys, comps = align_components(S, T)
     acc = P.empty_vset(S.over)
     for k, t in zip(keys, comps):

@@ -11,7 +11,8 @@ kept here once a faster one replaced them: `saturated_minimal_unital`, `scanned_
 `pairwise_system_poset`, `per_sieve_fiber_systems`, `antichain_is_sparse`,
 `combination_sparse_universe`, `merged_sparse_decomposition`,
 `walked_closed_sets`, `member_named_order`, `probed_transfer_of`,
-`probed_sieve_of` and `scanned_downward_closure`.
+`probed_sieve_of`, `scanned_downward_closure` and
+`deduplicated_from_unital`.
 """
 import functools
 import itertools
@@ -755,3 +756,22 @@ def member_named_order(systems):
         return len(members), tuple(sorted(map(name, members)))
 
     return sorted(systems, key=size_then_members)
+
+
+def deduplicated_from_unital(P, unital, which):
+    """`enumeration._from_unital` by building every unital W truncated to
+    every family F plus the point on every family C containing F (C = every
+    class for almost-unital), keeping the first of each set of levels."""
+    if which == "unital":
+        return _in_output_order(unital)
+    everything = frozenset(P.orbit_classes)
+    families = enumerate_families(P)
+    tops = families if which == "aE_unital" else [everything]
+    pairs = [(F, C) for C in tops for F in families if F <= C]
+    out = {}
+    for W, (F, C) in itertools.product(unital, pairs):
+        levels = {V: W.sparse_levels[V] if V in F else frozenset(
+            [P.star_vset(V)] if V in C else []) for V in P.orbit_classes}
+        out.setdefault(frozenset(levels.items()), levels)
+    return _in_output_order(WeakIndexingSystem.from_sparse(P, lv, validate=False)
+                            for lv in out.values())

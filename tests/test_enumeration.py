@@ -1,5 +1,6 @@
 """Exhaustive enumeration of system classes and their posets."""
 import collections
+import functools
 import gc
 import random
 import weakref
@@ -19,9 +20,9 @@ from windex.enumeration import (
 )
 
 from helpers import (
-    a4_table, c6_table, diamond_semilattice, klein_table, listed_label_library,
-    member_named_order, q8_table, s3_table, scanned_label,
-    searched_indexing_systems, searched_systems,
+    a4_table, c6_table, deduplicated_from_unital, diamond_semilattice,
+    klein_table, listed_label_library, member_named_order, q8_table, s3_table,
+    scanned_label, searched_indexing_systems, searched_systems,
 )
 
 
@@ -122,6 +123,68 @@ def test_classes_built_from_unital_equal_the_searched_ones(make, classes):
     for which in classes:
         # same systems, same order
         assert enumerate_systems(P, which) == searched_systems(P, which)
+
+
+_FROM_UNITAL = {
+    "C4": (lambda: chain_group(2, 2), enumerate_systems_fiberwise),
+    "C9": (lambda: chain_group(3, 2), enumerate_systems_fiberwise),
+    "C8": (lambda: chain_group(2, 3), enumerate_systems_fiberwise),
+    "C16": (lambda: chain_group(2, 4), enumerate_systems_fiberwise),
+    "C25": (lambda: chain_group(5, 2), enumerate_systems_fiberwise),
+    "C32": (lambda: chain_group(2, 5), enumerate_systems_fiberwise),
+    "brute-C4": (lambda: chain_group(2, 2), enumerate_systems),
+    "brute-C8": (lambda: chain_group(2, 3), enumerate_systems),
+    "brute-S3": (lambda: finite_group(s3_table(), name="S3"), enumerate_systems),
+    "brute-C6": (lambda: finite_group(c6_table(), name="C6"), enumerate_systems),
+    "brute-diamond": (diamond_semilattice, enumerate_systems),
+    "brute-point": (trivial_point, enumerate_systems),
+    "brute-BG2": (lambda: one_object_groupoid(2), enumerate_systems),
+}
+_FROM_UNITAL_CASES = [
+    pytest.param(case, marks=pytest.mark.slow) if case in (
+        "brute-C8", "brute-S3", "brute-C6", "brute-diamond") else case
+    for case in _FROM_UNITAL]
+
+
+@functools.lru_cache(maxsize=None)
+def _class_lists(case):
+    """P and its unital, aE-unital and almost-unital lists, each listed by
+    the case's enumeration."""
+    make, listing = _FROM_UNITAL[case]
+    P = make()
+    return P, {which: listing(P, which)
+               for which in ("unital", "aE_unital", "almost_unital")}
+
+
+@pytest.mark.parametrize("case", _FROM_UNITAL_CASES)
+def test_classes_built_from_unital_equal_the_deduplicating_oracle(case):
+    P, lists = _class_lists(case)
+    for which in ("aE_unital", "almost_unital"):
+        # same systems, same order
+        assert lists[which] == \
+            deduplicated_from_unital(P, lists["unital"], which)
+
+
+@pytest.mark.parametrize("case", _FROM_UNITAL_CASES)
+def test_each_aE_system_is_one_unital_system_on_two_families(case):
+    """An aE-unital X is its unit family F, its color family C and the
+    unital W that is X on F and the empty set and the point elsewhere."""
+    P, lists = _class_lists(case)
+    unital = set(lists["unital"])
+    everything = frozenset(P.orbit_classes)
+    for which in ("aE_unital", "almost_unital"):
+        triples = set()
+        for X in lists[which]:
+            fams = X.families()
+            F, C = fams["unit"], fams["color"]
+            assert F <= C and (which == "aE_unital" or C == everything)
+            W = WeakIndexingSystem.from_sparse(P, {
+                V: X.sparse_levels[V] if V in F else
+                [P.empty_vset(V), P.star_vset(V)] for V in P.orbit_classes},
+                validate=False)
+            assert W in unital
+            triples.add((F, C, W))
+        assert len(triples) == len(lists[which])
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -239,6 +239,17 @@ def test_transfer_of_named_systems(C4):
         transfer_of(f_trivial(C4))
 
 
+def test_transfer_of_refuses_an_undecided_membership(C4):
+    # the empty set and the point at every class, saturated only up to two
+    # points: whether the free orbit [e] over C_4 is a member is undecided
+    W = WeakIndexingSystem.from_generators(C4, [
+        S for V in C4.orbit_classes
+        for S in (C4.empty_vset(V), C4.star_vset(V))], bound=2)
+    with pytest.raises(ValueError,
+                       match=r"membership of \[e\] over C_4 is undecided"):
+        transfer_of(W)
+
+
 # -- the Galois correspondences ----------------------------------------------------
 
 

@@ -23,6 +23,8 @@ def test_bad_table_rejected():
     z5[3], z5[4] = z5[4], z5[3]  # still Latin, no longer a group
     with pytest.raises(NotAGroup):
         GroupTable(z5)
+    with pytest.raises(NotAGroup, match="not associative"):
+        GroupTable([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
 def test_identity_found_anywhere():

@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from windex.presentation import (
-    InvalidSpec, MismatchedIndex, NoSuchMap, OrbitalPresentation, VSet,
+    InvalidSpec, MismatchedIndex, NoSuchMap, OrbitalPresentation, TooLarge, VSet,
     build_presentation, chain_group, cyclic_group, finite_group,
     indexed_coproduct, meet_semilattice, one_object_groupoid, sub_multisets,
     trivial_point, validate_presentation,
@@ -123,6 +123,8 @@ def test_restriction_failure_modes():
     P = chain_group(2, 1)
     with pytest.raises(NoSuchMap):
         P.restrict_orbit("e", "C_2", "e")
+    with pytest.raises(NoSuchMap, match="no map-class 'x' over 'C_2'"):
+        P.restrict("x", P.star_vset("C_2"))
     with pytest.raises(KeyError):
         P.restrict_orbit("C_2", "nope", "e")
 
@@ -178,6 +180,15 @@ def test_indexed_coproduct_needs_matching_components():
     S = P.orbit_vset("C_4", "C_2")
     with pytest.raises(MismatchedIndex):
         indexed_coproduct(P, S, [P.star_vset("C_4")])
+    point = P.star_vset("C_2")
+    with pytest.raises(MismatchedIndex, match="2 components for 1 orbits"):
+        indexed_coproduct(P, S, [point, point])
+    assert indexed_coproduct(P, S, [point]) == \
+        indexed_coproduct(P, S, (point,)) == S
+    # the components are a list or tuple aligned with S.expand(), nothing else
+    for components in ({"C_2": point}, iter([point]), point):
+        with pytest.raises(MismatchedIndex, match="must be a list or tuple"):
+            indexed_coproduct(P, S, components)
 
 
 def test_slice_presentation_of_chain_is_shorter_chain():
@@ -260,6 +271,8 @@ def test_a_corrupted_table_fails_its_axiom(axiom):
     assert len(lines) == len(report.checks)
     assert sum(line.startswith("PASS ") for line in lines) == \
         len(report.checks) - len(report.failures)
+    intact = validate_presentation(chain_group(2, 2))
+    assert report != intact == validate_presentation(chain_group(2, 2))
 
 
 # a C_4 table entry changed so that some check looks up an entry the tables
@@ -295,6 +308,30 @@ def test_hom_exists_is_occurrence_as_slice():
     L = diamond_lattice()
     assert L.hom_exists("0", "a")
     assert not L.hom_exists("a", "b")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: meet_semilattice(["0", "0"], lambda a, b: "0"), "duplicate"),
+    (lambda: meet_semilattice(["0", "1"], lambda a, b: "2"), "not an element"),
+    (lambda: meet_semilattice(["0", "1"], lambda a, b: a), "not commutative"),
+    (lambda: meet_semilattice(["0", "1"], lambda a, b: "0"), "not idempotent"),
+    # rock, paper, scissors: each pair meets in the third
+    (lambda: meet_semilattice(["r", "p", "s"], lambda a, b: a if a == b else
+                              ({"r", "p", "s"} - {a, b}).pop()),
+     "not associative"),
+    (lambda: one_object_groupoid(0), "order must be positive"),
+    (lambda: chain_group(2, -1), "must be nonnegative"),
+], ids=["duplicate", "not-an-element", "not-commutative", "not-idempotent",
+        "not-associative", "groupoid-0", "chain-negative"])
+def test_bad_specs_are_refused(build, message):
+    with pytest.raises(InvalidSpec, match=message):
+        build()
+
+
+def test_group_order_is_capped():
+    table = [[(a + b) % 61 for b in range(61)] for a in range(61)]
+    with pytest.raises(TooLarge, match="group order 61 exceeds cap 60"):
+        finite_group(table)
 
 
 def test_build_presentation_dispatch():

@@ -22,6 +22,8 @@ def _rep(P, *dims):
 def test_descriptor_validation(C4):
     r = _rep(C4, 2, 1, 0)
     assert r.dim() == 2
+    assert r == _rep(C4, 2, 1, 0) and hash(r) == hash(_rep(C4, 2, 1, 0))
+    assert len({r, _rep(C4, 2, 1, 0), _rep(C4, 2, 0, 0)}) == 2
     with pytest.raises(ValueError):
         _rep(C4, 1, 2, 0)  # grows up the chain
     with pytest.raises(ValueError):

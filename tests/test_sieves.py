@@ -165,6 +165,21 @@ def test_fiber_from_sieve_refuses_a_sieve_of_a_smaller_transfer(C4):
                          Sieve(R, frozenset(["C_4"]), frozenset()))
 
 
+def test_a_sieve_of_another_presentation_is_named_with_it(C4, C4_tabular):
+    # the full transfer systems of the chain and of the cyclic table have the
+    # same pairs; the refusal names both presentations
+    chain = enumerate_transfer_systems(C4)[-1]
+    table = enumerate_transfer_systems(C4_tabular)[-1]
+    assert repr(chain) != repr(table)
+    sieve = next(iter(enumerate_sieves(chain, ["e", "C_2"])))
+    with pytest.raises(NotAdmissible) as err:
+        fiber_from_sieve(table, ["e", "C_2"], sieve)
+    message = str(err.value)
+    assert f"{chain!r}, not {table!r}" in message
+    assert C4.key in message and C4_tabular.key in message
+    assert C4.key != C4_tabular.key
+
+
 @pytest.mark.parametrize("make", [
     lambda: chain_group(2, 2), lambda: chain_group(3, 2),
     lambda: chain_group(2, 3), lambda: chain_group(2, 4),

@@ -413,6 +413,8 @@ def test_generator_above_bound_rejected(C2):
     with pytest.raises(BoundTooSmall):
         WeakIndexingSystem.from_generators(
             C2, [C2.star_vset("e").scale(5)], bound=3)
+    with pytest.raises(BoundTooSmall, match="5 points exceeds bound 3"):
+        saturate(C2, [C2.star_vset("e").scale(5)], 3)
 
 
 # -- named systems and classification -----------------------------------------
@@ -579,6 +581,21 @@ def test_mixed_presentation_rejected(C2, C4):
         join(f_zero(C2), f_zero(C4))
     with pytest.raises(MixedPresentation):
         f_zero(C2).member(C4.star_vset("C_4"))
+    with pytest.raises(MixedPresentation, match="unknown class 'C_4'"):
+        WeakIndexingSystem.from_generators(C2, [C4.star_vset("C_4")])
+    with pytest.raises(MixedPresentation, match="over the slice at 'C_2'"):
+        coinduce_wis(C4, "C_2", f_zero(chain_group(2, 3)))
+    # the same shape of orbit classes over another presentation
+    assert f_zero(C4) != f_zero(chain_group(3, 2))
+
+
+def test_an_unbounded_predicate_is_equal_only_to_itself(C4):
+    W, twin = f_perp_nu(C4, ["e"]), f_perp_nu(C4, ["e"])
+    assert W.sparse_levels is None and W.bound is None
+    assert W == W and hash(W) == hash(W)
+    assert W != twin
+    with pytest.raises(UnsupportedBackend, match="has no generators"):
+        leq(W, f_complete(C4))
 
 
 def test_is_sparse_refuses_a_vset_of_another_presentation(C2, C4):

@@ -13,7 +13,7 @@ import sys
 from . import serialize
 from .enumeration import (
     enumerate_systems, enumerate_systems_fiberwise, normalize_class,
-    system_label, system_poset, _label_library,
+    system_label, system_poset,
 )
 from .fibrations import TargetNotAbove, cocartesian_transport
 from .presentation import (
@@ -46,15 +46,15 @@ def _group_presentation(name):
     key = name.strip().lower()
     if key in ("pt", "point", "triv"):
         return trivial_point()
-    if key.startswith("bg"):
+    if re.fullmatch(r"bg\d*", key):
         return one_object_groupoid(int(key[2:] or "2"))
-    if key.startswith("c"):
-        pp = _prime_power(int(key[1:]))
-        if pp is None:
-            raise SerializationError(
-                f"group {name!r} is not a cyclic group of prime power order")
-        return chain_group(*pp)
-    raise SerializationError(f"unknown group {name!r}")
+    if not re.fullmatch(r"c\d+", key):
+        raise SerializationError(f"unknown group {name!r}")
+    pp = _prime_power(int(key[1:]))
+    if pp is None:
+        raise SerializationError(
+            f"group {name!r} is not a cyclic group of prime power order")
+    return chain_group(*pp)
 
 
 def _write_or_print(text, out):
@@ -143,10 +143,9 @@ def cmd_fiber(args):
         raise SerializationError("transfer system and family live over "
                                  f"different presentations ({R.P.key} vs {P.key})")
     systems = fiber_systems(R, fam)
-    library = _label_library(P)
     print(f"{len(systems)} systems over this (transfer, family) pair")
     for W in systems:
-        print(f"  {system_label(W, library)}")
+        print(f"  {system_label(W)}")
     if args.out:
         text = serialize.dumps([serialize.system_to_obj(W) for W in systems])
         _write_or_print(text, args.out)

@@ -210,7 +210,10 @@ def enumerate_systems_fiberwise(P, which="unital"):
 
 def _label_library(P):
     """{system: display name} for the named constructions over P; where two
-    constructions give the same system, the first one listed names it."""
+    constructions give the same system, the first one listed names it.
+    Built once per presentation and kept as P's table of labels."""
+    if P._labels is not None:
+        return P._labels
     lib = {}
     families = enumerate_families(P)
     for fam in families:
@@ -226,6 +229,7 @@ def _label_library(P):
             tag = ",".join(f"{u}<{V}" for u, V in sorted(R.strict()))
             lib.setdefault(minimal_unital(R), f"F_min[{tag}]")
             lib.setdefault(transfer_to_indexing(R), f"F_max[{tag}]")
+    P._labels = lib
     return lib
 
 
@@ -245,15 +249,12 @@ def content_hash(W):
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
-def system_label(W, library=None):
+def system_label(W):
     """A stable display name: a named construction when the system equals
     one, otherwise a content hash (UnsupportedBackend unless the system's
-    sparse members describe it exactly).  `library` is `_label_library`
-    of W's presentation."""
+    sparse members describe it exactly)."""
     _exact_levels(W)
-    if library is None:
-        library = _label_library(W.P)
-    return library.get(W) or f"W#{content_hash(W)}"
+    return _label_library(W.P).get(W) or f"W#{content_hash(W)}"
 
 
 def system_poset(systems, labels=None):
@@ -273,6 +274,5 @@ def system_poset(systems, labels=None):
     up = [functools.reduce(operator.and_, map(columns.__getitem__, mem), full)
           for mem in members]
     if labels is None:
-        library = _label_library(systems[0].P) if systems else {}
-        labels = [system_label(W, library) for W in systems]
+        labels = [system_label(W) for W in systems]
     return Poset.from_up_sets(systems, up, labels=labels)

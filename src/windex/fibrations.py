@@ -43,34 +43,24 @@ def enumerate_families(P):
 # -- transfer systems ----------------------------------------------------------
 
 
-def _check_orbits(P, pairs):
-    for u, V in pairs:
-        if V not in P._slices or u not in P.slice_keys(V):
-            raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
-
-
 class TransferSystem:
     """A set of admissible orbits (u, V), containing all identities and
-    closed under composition and base change."""
+    closed under composition and base change.  P holds one per pair set:
+    the constructor hands out P's, checks only a set P does not hold yet,
+    and keeps no set that fails."""
 
-    def __init__(self, P, pairs, check=True):
-        self.P = P
-        full = set(pairs)
-        for V in P.orbit_classes:
-            full.add((P.star_key(V), V))
-        self.pairs = frozenset(full)
-        self._strict = self.pairs - {(P.star_key(V), V) for V in P.orbit_classes}
-        if check:
-            # each pair set is checked once per presentation, and the first
-            # R to pass is the one `transfer_of` hands out; a set that fails
-            # is not kept
-            if self.pairs in P._transfer_systems:
-                return
-            _check_orbits(P, self.pairs)
-            missing = closure(_transfer_rule(P), (), self.strict()) - self.pairs
-            if missing:
-                raise ValueError(f"transfer system is not closed: missing {min(missing)}")
-            P._transfer_systems[self.pairs] = self
+    def __new__(cls, P, pairs):
+        full = frozenset(pairs).union((P.star_key(V), V) for V in P.orbit_classes)
+        R = P._transfer_systems.get(full) or transfer_closure(P, full)
+        if R.pairs != full:
+            raise ValueError(f"transfer system is not closed: missing {min(R.pairs - full)}")
+        return R
+
+    def __copy__(self):
+        return self
+
+    def __reduce__(self):    # by state: R unpickles inside P's state, before P can look it up
+        return object.__new__, (TransferSystem,), vars(self)
 
     def strict(self):
         """The admissible orbits other than the identities."""
@@ -136,6 +126,17 @@ class TransferSystem:
         return f"<TransferSystem {self.P.key} {strict}>"
 
 
+def _held(P, closed):
+    """P's one transfer system on the closed orbits `closed` and the identities."""
+    ids = frozenset((P.star_key(V), V) for V in P.orbit_classes)
+    pairs = ids.union(closed)
+    R = P._transfer_systems.get(pairs)
+    if R is None:
+        R = P._transfer_systems[pairs] = object.__new__(TransferSystem)
+        R.P, R.pairs, R._strict = P, pairs, pairs - ids
+    return R
+
+
 def _transfer_rule(P):
     """What a non-identity orbit (u, V) brings into a transfer system, given
     the pairs present: its base changes other than identities, and its
@@ -157,10 +158,11 @@ def _transfer_rule(P):
 def transfer_closure(P, pairs):
     """The smallest transfer system containing the given pairs."""
     pairs = list(pairs)
-    _check_orbits(P, pairs)
+    for u, V in pairs:
+        if V not in P._slices or u not in P.slice_keys(V):
+            raise ValueError(f"({u!r}, {V!r}) is not an orbit of {P.key}")
     strict = [(u, V) for u, V in pairs if u != P.star_key(V)]
-    return TransferSystem(P, closure(_transfer_rule(P), (), strict),
-                          check=False)
+    return _held(P, closure(_transfer_rule(P), (), strict))
 
 
 def enumerate_transfer_systems(P):
@@ -168,15 +170,12 @@ def enumerate_transfer_systems(P):
     and base change on the non-identity orbits.  They are listed once per
     presentation, as its one transfer system per pair set; each call returns
     a new list of those."""
-    if not P._transfers_listed:
+    if P._transfer_list is None:
         strict = [(u, V) for V in P.orbit_classes
                   for u in P.slice_keys(V) if u != P.star_key(V)]
-        checked = P._transfer_systems
-        listed = (TransferSystem(P, C, check=False)
-                  for C in closed_sets(strict, _transfer_rule(P)))
-        P._transfer_systems = {R.pairs: checked.get(R.pairs, R) for R in listed}
-        P._transfers_listed = True
-    return list(P._transfer_systems.values())
+        P._transfer_list = [_held(P, C)
+                            for C in closed_sets(strict, _transfer_rule(P))]
+    return list(P._transfer_list)
 
 
 # -- between systems and transfer data -------------------------------------
@@ -192,15 +191,13 @@ def transfer_of(W):
     for V in P.orbit_classes:
         for u in P.slice_keys(V):
             if u == P.star_key(V):
-                pairs.add((u, V))
                 continue
             r = W.member(P.orbit_vset(V, u))
             if r == YES:
                 pairs.add((u, V))
             elif r != NO:
                 raise ValueError(f"membership of [{u}] over {V} is undecided")
-    # P's transfer system with these pairs, checked when first met
-    return P._transfer_systems.get(frozenset(pairs)) or TransferSystem(P, pairs)
+    return TransferSystem(P, pairs)
 
 
 def transfer_to_indexing(R):

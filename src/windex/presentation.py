@@ -168,9 +168,9 @@ class OrbitalPresentation:
     lives on it, as long as it does: the intern table (`vset`), each class's
     down-set (`down_sets`) and sparse V-sets (`sparse_universes`,
     `sparse_sets`, `sparse_vset`, `sparse_bound`), the slice maps and slices
-    asked for, one transfer system per pair set
-    (`fibrations.TransferSystem`) and the levels named
-    (`enumeration._member_names`)."""
+    asked for, one transfer system per pair set and their list
+    (`fibrations.TransferSystem`), the levels named and the labels
+    (`enumeration._member_names`, `_label_library`)."""
 
     def __init__(self, key, spec, orbit_classes, slices, star, cls_of, points,
                  restriction, induction, group=None, class_rep=None, slice_rep=None,
@@ -197,11 +197,12 @@ class OrbitalPresentation:
         self.conjugator = dict(conjugator) if conjugator else None
         self._slice_hom_cache = {}
         self._slice_pres_cache = {}
-        # one checked transfer system per pair set, and whether all are
-        # listed (see fibrations.TransferSystem)
+        # one checked transfer system per pair set, and the list of all of
+        # them once asked for (see fibrations.TransferSystem)
         self._transfer_systems = {}
-        self._transfers_listed = False
+        self._transfer_list = None
         self._level_names = {}                  # see enumeration._member_names
+        self._labels = None                     # see enumeration._label_library
         # The intern table: per class, each canonical orbits tuple handed out
         # and its one V-set.  The empty set, the point, the double point and
         # the single orbits are made here; restrictions when first asked for.

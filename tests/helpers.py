@@ -279,7 +279,7 @@ def scanned_transfer_systems(P):
     strict = [(u, V) for V in P.orbit_classes
               for u in P.slice_keys(V) if u != P.star_key(V)]
     identities = {(P.star_key(V), V) for V in P.orbit_classes}
-    return [TransferSystem(P, identities | set(c), check=False)
+    return [TransferSystem(P, identities | set(c))
             for c in subsets(strict)
             if transfer_conditions(P, identities | set(c))]
 

@@ -331,6 +331,12 @@ def test_rep_bad_requests(capsys):
     assert main(["rep", "--name", "sigma", "--group", "bg4"]) == 2
 
 
+@pytest.mark.parametrize("group", ["cx", "c", "bgx"])
+def test_rep_names_a_group_it_cannot_read(group, capsys):
+    assert main(["rep", "--name", "sigma", "--group", group]) == 2
+    assert capsys.readouterr().err == f"error: unknown group {group!r}\n"
+
+
 # -- hull ------------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from windex import (
     is_sparse, leq, one_object_groupoid, system_label, system_poset,
     transfer_of, transfer_to_indexing, trivial_point,
 )
+from windex import enumeration
 from windex.enumeration import (
     _in_output_order, _label_library, content_hash, enumerate_systems,
     enumerate_systems_fiberwise, normalize_class,
@@ -268,12 +269,26 @@ def test_labels_name_the_constructions(C2, C4):
 @pytest.mark.parametrize("n", [3, 4], ids=["C8", "C16"])
 def test_labels_equal_the_library_scan(n):
     P = chain_group(2, n)
-    library, listed = _label_library(P), listed_label_library(P)
+    listed = listed_label_library(P)
     systems = enumerate_systems_fiberwise(P)
-    assert [system_label(W, library) for W in systems] == \
+    assert [system_label(W) for W in systems] == \
         [scanned_label(W, listed) for W in systems]
-    assert [system_label(X, library) for X, _ in listed] == \
+    assert [system_label(X) for X, _ in listed] == \
         [scanned_label(X, listed) for X, _ in listed]
+
+
+def test_labelling_a_list_builds_the_label_table_once(monkeypatch):
+    P = chain_group(2, 4)
+    systems = enumerate_systems_fiberwise(P)
+    # each build of the label table lists the families once
+    builds = []
+    listed = enumeration.enumerate_families
+    monkeypatch.setattr(enumeration, "enumerate_families",
+                        lambda Q: builds.append(Q) or listed(Q))
+    labels = [system_label(W) for W in systems]
+    assert system_poset(systems).labels == labels
+    assert _label_library(P) is _label_library(P)
+    assert builds == [P]
 
 
 def test_the_first_of_equal_constructions_names_them(C2):

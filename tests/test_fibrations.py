@@ -1,5 +1,7 @@
 """Transfer systems, the family adjoints, and cocartesian transport."""
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -20,7 +22,7 @@ from helpers import (
     a4_table, c6_table, diamond_semilattice, extensional_fold_right,
     klein_table, probed_transfer_of, q8_table, recomputed_transfer_codomain,
     recomputed_transfer_domain, s3_table, saturated_minimal_unital,
-    scanned_families, scanned_transfer_systems,
+    scanned_families, scanned_transfer_systems, subsets, transfer_conditions,
 )
 
 
@@ -230,6 +232,55 @@ def test_a_pair_set_that_is_not_closed_is_never_kept():
         assert all(R.pairs == pairs for pairs, R in P._transfer_systems.items())
 
 
+@pytest.mark.parametrize("name", ["C8", "S3", "diamond"])
+def test_a_presentation_holds_one_transfer_system_per_pair_set(name):
+    P = PRESENTATIONS[name]()
+    unital = (enumerate_systems_fiberwise(P, "unital") if name == "C8"
+              else enumerate_systems(P, "unital"))
+    listed = enumerate_transfer_systems(P)
+    for R in listed:
+        assert TransferSystem(P, R.strict()) is R
+        assert TransferSystem(P, R.pairs) is R
+        assert transfer_closure(P, R.strict()) is R
+        assert copy.copy(R) is R
+    held = {id(R) for R in listed}
+    assert all(id(transfer_of(W)) in held for W in unital)
+    assert [id(R) for R in enumerate_transfer_systems(P)] == list(map(id, listed))
+
+
+@pytest.mark.parametrize("name", ["C8", "S3", "diamond"])
+def test_a_pair_set_that_fails_raises_every_time_and_is_never_held(name):
+    P = PRESENTATIONS[name]()
+    identities = {(P.star_key(V), V) for V in P.orbit_classes}
+    strict = [(u, V) for V in P.orbit_classes
+              for u in P.slice_keys(V) if u != P.star_key(V)]
+    bad = [identities | set(c) for c in subsets(strict)
+           if not transfer_conditions(P, identities | set(c))]
+    assert bad
+    for listed in (False, True):
+        if listed:
+            enumerate_transfer_systems(P)
+        for pairs in bad:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="not closed"):
+                    TransferSystem(P, pairs)
+        assert all(transfer_conditions(P, pairs) for pairs in P._transfer_systems)
+        assert all(R.pairs == pairs for pairs, R in P._transfer_systems.items())
+
+
+def test_a_pickled_transfer_system_is_held_by_its_presentation():
+    P = chain_group(2, 3)
+    R = enumerate_transfer_systems(P)[5]
+    transfer_domain(R)     # kept facts travel with R
+    for twin in (pickle.loads(pickle.dumps(R)), copy.deepcopy(R)):
+        assert twin == R and twin.P is not P
+        assert transfer_domain(twin) == transfer_domain(R)
+        assert TransferSystem(twin.P, R.strict()) is twin
+        assert enumerate_transfer_systems(twin.P)[5] is twin
+    W = minimal_unital(R)
+    assert pickle.loads(pickle.dumps(W)) == W
+
+
 def test_transfer_of_named_systems(C4):
     R0, R1, R2, R3, R4 = _five_transfers(C4)
     assert transfer_of(f_zero(C4)) == R0
@@ -335,8 +386,8 @@ def test_transfer_system_keeps_its_facts(name):
         # equality and hash stay by content, with or without kept facts
         assert hash(R) == hash((P.key, R.pairs))
         for same in (transfer_closure(P, R.strict()),
-                     TransferSystem(P, R.strict(), check=True)):
-            assert "_domain" not in vars(same)
+                     TransferSystem(P, R.strict())):
+            assert same is R
             assert same == R and hash(same) == hash(R)
             assert same.strict() == R.strict()
             assert transfer_domain(same) == transfer_domain(R)

@@ -1,5 +1,8 @@
 """The package imports its own modules at module level only, without cycles."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import windex
@@ -95,3 +98,16 @@ def test_the_only_memo_is_the_presentation_of_a_spec():
             if name in ("lru_cache", "cache"):
                 memos.append(decorated.get(id(node), f"{path.name}:{node.lineno}"))
     assert memos == ["serialize._presentation"]
+
+
+def test_importing_the_package_loads_no_heavy_standard_module():
+    """Every CLI command is a process that imports the whole package, so
+    `import windex` loads none of `dataclasses`, `inspect` or `typing`
+    beyond what a bare interpreter has already loaded."""
+    code = ("import sys; bare = set(sys.modules); import windex; "
+            "print(*sorted(set(sys.modules) - bare))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "windex.systems" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & set(loaded)

@@ -375,3 +375,11 @@ def test_unreadable_paths_are_bad_input(tmp_path):
     binary.write_bytes(b"\xff\xfe{")
     with pytest.raises(SerializationError, match="not valid JSON"):
         load(binary)
+
+
+def test_two_loads_of_a_transfer_document_give_one_object(tmp_path):
+    path = tmp_path / "r.json"
+    dump(transfer_to_obj(TransferSystem(chain_group(2, 2), [("e", "C_2")])), path)
+    first, second = (transfer_from_obj(load(path)) for _ in range(2))
+    assert first is second
+    assert transfer_from_obj(transfer_to_obj(first)) is first
